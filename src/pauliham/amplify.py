@@ -18,7 +18,7 @@ lambda_max <= 1 - 1/q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .paulis import Hamiltonian, linear_combine, pauli_1_norm, tensor_power
 from .spectra import DEFAULT_DENSE_LIMIT, extremal_eigs, operator_norm
@@ -135,6 +135,11 @@ def amplification_bounds(params: AmplifyParams) -> AmplificationReport:
     )
 
 
+def _require_unit_norm(norm: float) -> None:
+    if norm > 1.0 + BOUND_SLACK:
+        raise ValueError(f"operator norm {norm} exceeds 1")
+
+
 def amplify(
     h: Hamiltonian,
     k: int,
@@ -145,25 +150,25 @@ def amplify(
 ) -> Hamiltonian:
     """Apply the shifted tensor-power transform; the k = 1 case returns H itself.
 
-    Precondition ||H|| <= 1 is checked densely when n is small, accepted on
-    the certificate ||H||_P1 <= 1 otherwise, and can be waived explicitly
-    with ``assume_norm_ok`` when neither check is feasible.
+    Precondition ||H|| <= 1 is checked with the eigensolver when n is
+    within the dense limit, accepted on the certificate ||H||_P1 <= 1
+    otherwise, and can be waived explicitly with ``assume_norm_ok`` when
+    neither check is feasible or the caller has already made it.
 
     Raises:
         CapacityError: the expanded operator would exceed the term cap.
         ValueError: the norm precondition fails or cannot be certified.
+        ConvergenceError: the norm check's eigensolve did not converge.
     """
     if k < 1:
         raise ValueError(f"tensor power k must be >= 1, got {k}")
     limit = DEFAULT_DENSE_LIMIT if dense_limit is None else dense_limit
     if not assume_norm_ok:
         if h.n <= limit:
-            norm = operator_norm(h, dense_limit=limit)
-            if norm > 1.0 + BOUND_SLACK:
-                raise ValueError(f"operator norm {norm} exceeds 1")
+            _require_unit_norm(operator_norm(h, dense_limit=limit))
         elif pauli_1_norm(h) > 1.0 + 1e-12:
             raise ValueError(
-                "cannot certify ||H|| <= 1: n too large for the dense check and "
+                "cannot certify ||H|| <= 1: n exceeds the dense limit of the norm check and "
                 "||H||_P1 > 1; pass assume_norm_ok=True to override"
             )
     shifted = linear_combine([(0.5, Hamiltonian.identity(h.n)), (0.5, h)])
@@ -183,28 +188,37 @@ def verify_amplification(
 ) -> AmplificationReport:
     """Amplify H and check every measurable bound, returning the filled report.
 
-    The eigenvalue identity lambda_out = map(lambda_in, k) is compared only
-    when n*k fits the dense limit; the Pauli 1-norm comparison runs at any
-    size.  An input whose lambda_max lands strictly between the two promise
-    thresholds gets promise_case "none" and fails verification, since the
-    transform's guarantees only speak to promised instances.
+    H's spectrum is solved once, at any n: its top eigenvalue is lambda_in
+    and its norm is checked against amplify's precondition ||H|| <= 1
+    here, so amplify does not solve it again.  The eigenvalue identity
+    lambda_out = map(lambda_in, k) is compared only when n*k fits the dense
+    limit; the Pauli 1-norm comparison runs at any size.  An input whose
+    lambda_max lands strictly between the two promise thresholds gets
+    promise_case "none" and fails verification, since the transform's
+    guarantees only speak to promised instances.
+
+    Raises:
+        ValueError: ||H|| > 1, with amplify's message.
+        ConvergenceError: an eigensolve did not converge.
     """
     report = amplification_bounds(params)
     k = params.k
     limit = DEFAULT_DENSE_LIMIT if dense_limit is None else dense_limit
 
-    lambda_in = extremal_eigs(h, dense_limit=limit).lambda_max
+    spectrum = extremal_eigs(h, dense_limit=limit).require_converged()
+    _require_unit_norm(max(abs(spectrum.lambda_max), abs(spectrum.lambda_min)))
+    lambda_in = spectrum.lambda_max
     pauli1_in = pauli_1_norm(h)
     p1_bound = pauli_norm_bound(pauli1_in, k)
 
-    amplified = amplify(h, k, term_cap=term_cap, dense_limit=limit)
+    amplified = amplify(h, k, term_cap=term_cap, assume_norm_ok=True)
     pauli1_out = pauli_1_norm(amplified)
     norm_ok = pauli1_out <= p1_bound + BOUND_SLACK
 
     lambda_out = None
     eigen_ok = True
     if h.n * k <= limit:
-        lambda_out = extremal_eigs(amplified, dense_limit=limit).lambda_max
+        lambda_out = extremal_eigs(amplified, dense_limit=limit).require_converged().lambda_max
         eigen_ok = abs(lambda_out - exact_eigenvalue_map(lambda_in, k)) <= eigen_tol
 
     if lambda_in >= 1.0 - 1.0 / params.p - BOUND_SLACK:
@@ -220,15 +234,8 @@ def verify_amplification(
     elif lambda_out is not None and case == "no":
         case_ok = lambda_out <= report.no_upper_bound + BOUND_SLACK
 
-    return AmplificationReport(
-        k=k,
-        yes_lower_bound=report.yes_lower_bound,
-        no_upper_bound=report.no_upper_bound,
-        no_lower_bound=report.no_lower_bound,
-        gap_lower_bound=report.gap_lower_bound,
-        no_gap_from_one=report.no_gap_from_one,
-        no_gap_half_scale=report.no_gap_half_scale,
-        gap_formula_in_regime=report.gap_formula_in_regime,
+    return replace(
+        report,
         lambda_in=lambda_in,
         lambda_out_exact=lambda_out,
         pauli1_in=pauli1_in,

@@ -6,10 +6,14 @@ and inputs); wall-clock timestamps go only to a ``<out>.log`` sidecar.
 Every report embeds the full run configuration under the "config" key.
 
 Exit codes: 0 ok, 1 usage, 2 input error, 3 capacity error, 4 verification
-failure (verify-lemma reporting all_bounds_hold = false).
+failure (verify-lemma reporting all_bounds_hold = false), 5 convergence
+error (an eigensolve whose result must be converged stopped above its
+tolerance: the operator norm in norms, amplify and verify-lemma, the
+eigenvalues in verify-lemma, and the top eigenvector that
+spectrum --eigvec-out saves and game --state top-eig plays).
 
-The dense-size limit and the term-count cap honor the environment
-variables PAULIHAM_DENSE_LIMIT and PAULIHAM_TERM_CAP.
+The eigensolver's memory budget and the term-count cap honor the
+environment variables PAULIHAM_DENSE_LIMIT and PAULIHAM_TERM_CAP.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .serialize import (
     save_state,
     state_to_jsonable,
 )
-from .spectra import DEFAULT_DENSE_LIMIT, extremal_eigs, operator_norm
+from .spectra import ConvergenceError, extremal_eigs, operator_norm
 from .sparsify import SparsifyParams, empirical_deviation
 
 EXIT_OK = 0
@@ -49,6 +53,7 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_CAPACITY = 3
 EXIT_VERIFY = 4
+EXIT_CONVERGENCE = 5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -114,9 +119,7 @@ def _cmd_build(args) -> int:
         m=args.m,
         seed=args.seed,
     )
-    doc = hamiltonian_to_jsonable(ham)
-    doc["config"] = _config_of(args)
-    _emit_text(json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n", args.out, args)
+    _emit_json(hamiltonian_to_jsonable(ham), args.out, args)
     return EXIT_OK
 
 
@@ -139,12 +142,7 @@ def _cmd_spectrum(args) -> int:
     ham = load_hamiltonian(args.ham)
     result = extremal_eigs(ham, tol=args.tol, max_iters=args.max_iters)
     if args.eigvec_out:
-        if result.eigvec_max is None:
-            raise ValueError(
-                "top eigenvector is only available on the dense path "
-                f"(n <= {DEFAULT_DENSE_LIMIT})"
-            )
-        save_state(result.eigvec_max, args.eigvec_out)
+        save_state(result.require_converged().eigvec_max, args.eigvec_out)
     _emit_json(
         {
             "lambda_max": result.lambda_max,
@@ -163,9 +161,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_amplify(args) -> int:
     ham = load_hamiltonian(args.ham)
     amplified = amplify(ham, args.k, assume_norm_ok=args.assume_norm_ok)
-    doc = hamiltonian_to_jsonable(amplified)
-    doc["config"] = _config_of(args)
-    _emit_text(json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n", args.out, args)
+    _emit_json(hamiltonian_to_jsonable(amplified), args.out, args)
     return EXIT_OK
 
 
@@ -180,12 +176,12 @@ def _cmd_verify_lemma(args) -> int:
 def _resolve_state(state_arg: str, ham):
     if state_arg != "top-eig":
         return load_state(state_arg)
-    if ham.n > DEFAULT_DENSE_LIMIT:
-        raise ValueError(
-            f"top-eig needs the dense path (n <= {DEFAULT_DENSE_LIMIT}, got "
-            f"n={ham.n}); pass an explicit state file instead"
-        )
-    return extremal_eigs(ham).eigvec_max
+    try:
+        return extremal_eigs(ham).require_converged().eigvec_max
+    except ConvergenceError as exc:
+        raise ConvergenceError(
+            f"top-eig: {exc}; pass an explicit state file instead"
+        ) from exc
 
 
 def _cmd_game(args) -> int:
@@ -268,7 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("--ham", required=True)
     p_spec.add_argument("--tol", type=float, default=1e-8)
     p_spec.add_argument("--max-iters", type=int, default=100_000)
-    p_spec.add_argument("--eigvec-out", help="also save the top eigenvector (dense path)")
+    p_spec.add_argument(
+        "--eigvec-out",
+        help="also save the top Ritz vector; refused (exit 5) unless the solve converged",
+    )
     p_spec.add_argument("--out")
     p_spec.set_defaults(_handler=_cmd_spectrum)
 
@@ -325,6 +324,9 @@ def main(argv: "list[str] | None" = None) -> int:
     except CapacityError as exc:
         print(f"pauliham {args.subcommand}: capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
+    except ConvergenceError as exc:
+        print(f"pauliham {args.subcommand}: convergence error: {exc}", file=sys.stderr)
+        return EXIT_CONVERGENCE
     except (
         SchemaError,
         PauliParseError,

@@ -1,12 +1,30 @@
-"""Dense and matrix-free spectral computations for Pauli-sum Hamiltonians.
+"""Spectra of Pauli-sum Hamiltonians without building their matrices.
 
-The dense path is the brute-force oracle: build the full 2^n x 2^n matrix
-and call the symmetric eigensolver.  It is exact (to machine precision)
-but only feasible for small n, capped by ``DEFAULT_DENSE_LIMIT``.  Beyond
-that, a shifted power iteration runs matrix-free on top of :func:`matvec`:
-X flips basis-state bits, Z applies signs, Y does both plus a phase, so a
-term application is a gather plus a sign vector and never materializes a
-matrix.
+Every eigenvalue question goes through one solver, :func:`extremal_eigs`:
+a Lanczos iteration with full reorthogonalisation (Lanczos 1950; Paige
+1972; Parlett, *The Symmetric Eigenvalue Problem*) that takes both ends of
+the spectrum from one Krylov space, started from a fixed seeded vector so
+its output is deterministic.  Its stopping test is the Ritz residual
+``||H y - theta y||`` of each extremal Ritz pair, which the Lanczos
+relation gives without extra matvecs.
+
+H is applied by one grouped matvec kernel, shared by :func:`matvec` and
+the solver.  A string P = phase * X^x Z^z maps basis state |j> to
+phase * (-1)^<z,j> |j ^ x>, so the terms sharing an ``x_mask`` act as one
+real diagonal followed by one gather:
+
+    (H v)[i] = sum_x d_x[i] * v[i ^ x],   d_x[i] = sum_t c_t (-i)^|x&z_t| (-1)^<z_t,i>.
+
+A group whose terms carry an odd number of Y factors is purely imaginary
+(the (-i) above), so each group is split by that parity and every
+diagonal stays real.  The kernel never materialises a matrix.
+
+``PAULIHAM_DENSE_LIMIT`` (default 12) sets one byte budget, 16 * 4^limit
+bytes, which is what :func:`to_dense` needs at n = limit.  It bounds
+``to_dense`` itself, and caps the solver's Krylov basis and its kept
+diagonals; a basis that fills up restarts from its extremal Ritz vectors.
+``to_dense`` is the brute-force oracle the tests check the solver against,
+and the sparsification experiment's exact deviation.
 """
 
 from __future__ import annotations
@@ -29,6 +47,19 @@ DEFAULT_EIG_TOL = 1e-8
 DEFAULT_MAX_ITERS = 100_000
 
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+
+# A next Lanczos direction shorter than this fraction of ||H||_P1 (>= ||H||)
+# is an exact breakdown: the Krylov space is invariant, its Ritz values exact.
+_BREAKDOWN = 1e-12
+# The basis never holds fewer vectors than this, whatever the budget; one
+# matvec already needs a few vector-sized work buffers.
+_MIN_BASIS = 8
+# Krylov vectors are allocated in blocks of at most this many bytes.
+_BLOCK_BYTES = 1 << 22
+
+
+class ConvergenceError(RuntimeError):
+    """An eigensolve stopped before its residual reached the tolerance."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,20 +106,35 @@ class StateVector:
 
 @dataclass(frozen=True, eq=False)
 class SpectralResult:
-    """Extremal eigenvalues plus how they were obtained.
+    """Extremal eigenvalues, the top Ritz vector, and how far the solve got.
 
-    ``eigvec_max`` is populated on the dense path only.  A non-converged
-    iterative run is returned with ``converged=False`` rather than raising,
-    so callers always see the achieved residual.
+    ``iterations`` counts matvecs, across restarts.  ``residual`` is the
+    Ritz residual of the worse of the two ends, and ``converged`` is
+    ``residual <= tol``.  A non-converged run is returned rather than
+    raised, so callers always see the achieved residual.  ``method`` is
+    always "iterative"; it names the solver in the CLI's output.
     """
 
     lambda_max: float
     lambda_min: float
-    eigvec_max: StateVector | None
-    method: str  # "dense" | "iterative"
+    eigvec_max: StateVector
+    method: str
     iterations: int
     residual: float
     converged: bool = True
+
+    def require_converged(self) -> "SpectralResult":
+        """This result, for callers that must not use an unconverged one.
+
+        Raises:
+            ConvergenceError: the solve stopped above its tolerance.
+        """
+        if not self.converged:
+            raise ConvergenceError(
+                f"eigensolver did not converge in {self.iterations} matvecs "
+                f"(residual {self.residual:.3e})"
+            )
+        return self
 
 
 def _term_action(p: PauliString, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -100,6 +146,11 @@ def _term_action(p: PauliString, dim: int) -> tuple[np.ndarray, np.ndarray]:
     signs = 1.0 - 2.0 * (np.bitwise_count(idx & np.int64(p.z_mask)) & 1)
     phase = _PHASES[(p.x_mask & p.z_mask).bit_count() % 4]
     return idx ^ np.int64(p.x_mask), phase * signs
+
+
+def _dense_budget(limit: int) -> int:
+    """Bytes of the 2^limit x 2^limit complex matrix ``to_dense`` may build."""
+    return 16 << (2 * limit)
 
 
 def to_dense(h: Hamiltonian, *, dense_limit: int | None = None) -> np.ndarray:
@@ -120,14 +171,61 @@ def to_dense(h: Hamiltonian, *, dense_limit: int | None = None) -> np.ndarray:
     return mat
 
 
-def _matvec_array(h: Hamiltonian, v: np.ndarray) -> np.ndarray:
-    dim = v.shape[0]
-    out = np.zeros(dim, dtype=np.complex128)
-    for p, c in h.terms.items():
-        cols, values = _term_action(p, dim)
-        # out[i ^ x] += value_i * v[i], written as a gather on the output side
-        out += c * (values * v)[cols]
-    return out
+class _GroupedKernel:
+    """H v as one real diagonal and one gather per (x mask, Y parity) group.
+
+    Diagonals are kept between calls when all of them fit in
+    ``keep_bytes``; otherwise each call rebuilds them one at a time in a
+    shared buffer.  Every pass writes into preallocated buffers, so a call
+    allocates nothing but its output.
+    """
+
+    def __init__(self, h: Hamiltonian, keep_bytes: int = 0):
+        dim = 1 << h.n
+        groups: dict[tuple[int, int], list[tuple[int, float]]] = {}
+        for p, c in h.terms.items():
+            y = (p.x_mask & p.z_mask).bit_count()
+            # (-i)^y = (-1)^(y // 2) for even y, and that times -i for odd y
+            groups.setdefault((p.x_mask, y & 1), []).append((p.z_mask, -c if y & 2 else c))
+        self.dim = dim
+        self._groups = sorted(groups.items())
+        self._index = np.arange(dim, dtype=np.intp)
+        self._gather = np.empty(dim, dtype=np.intp)
+        self._parity = np.empty(dim, dtype=np.uint8)
+        self._gathered = np.empty(dim, dtype=np.complex128)
+        self._diagonal = np.empty(dim)
+        self._kept = None
+        if len(self._groups) * dim * self._diagonal.itemsize <= keep_bytes:
+            self._kept = [self._fill(terms, np.empty(dim)) for _, terms in self._groups]
+
+    def _fill(self, terms: list[tuple[int, float]], out: np.ndarray) -> np.ndarray:
+        """out[i] = sum_t c_t (-1)^popcount(z_t & i)."""
+        out.fill(sum(c for _, c in terms))
+        parity = self._parity
+        for z, c in terms:
+            if z:
+                np.bitwise_and(self._index, z, out=self._gather)
+                np.bitwise_count(self._gather, out=parity)
+                np.bitwise_and(parity, 1, out=parity)
+                np.subtract(out, 2.0 * c, out=out, where=parity.view(np.bool_))
+        return out
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.dim, dtype=np.complex128)
+        vals = self._gathered
+        for k, ((x, odd), terms) in enumerate(self._groups):
+            diag = self._kept[k] if self._kept is not None else self._fill(terms, self._diagonal)
+            if x:
+                np.bitwise_xor(self._index, x, out=self._gather)
+                # the indices are in range; "wrap" skips the copy "raise" makes
+                np.take(v, self._gather, out=vals, mode="wrap")
+                np.multiply(vals, diag, out=vals)
+            else:
+                np.multiply(v, diag, out=vals)
+            if odd:
+                np.multiply(vals, -1j, out=vals)
+            np.add(out, vals, out=out)
+        return out
 
 
 def matvec(h: Hamiltonian, v: "StateVector | np.ndarray") -> np.ndarray:
@@ -137,7 +235,7 @@ def matvec(h: Hamiltonian, v: "StateVector | np.ndarray") -> np.ndarray:
         raise DimensionMismatchError(
             f"vector of shape {arr.shape} does not match n={h.n}"
         )
-    return _matvec_array(h, arr)
+    return _GroupedKernel(h).apply(arr)
 
 
 def pauli_expectation(p: PauliString, psi: StateVector) -> float:
@@ -158,34 +256,52 @@ def expectation(h: Hamiltonian, psi: StateVector) -> float:
     return float(sum(c * pauli_expectation(p, psi) for p, c in h.terms.items()))
 
 
-def _power_iteration(
-    h: Hamiltonian, shift: float, want_max: bool, tol: float, max_iters: int
-) -> tuple[float, int, float, bool]:
-    """Power iteration on (H + shift I) or (shift I - H); Rayleigh value of H.
+class _KrylovBasis:
+    """Orthonormal Krylov vectors, allocated block by block as the basis grows."""
 
-    With shift = ||H||_P1 >= ||H||, the iterated operator is positive
-    semidefinite and its top eigenvector is the extremal eigenvector of H
-    on the requested side.
-    """
-    dim = 1 << h.n
-    rng = np.random.default_rng(7)  # fixed start for a deterministic contract
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    v /= np.linalg.norm(v)
-    lam, residual = 0.0, np.inf
-    for it in range(1, max_iters + 1):
-        hv = _matvec_array(h, v)
-        lam = float(np.vdot(v, hv).real)
-        residual = float(np.linalg.norm(hv - lam * v))
-        if residual <= tol:
-            return lam, it, residual, True
-        w = hv + shift * v if want_max else shift * v - hv
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:  # v is an exact kernel vector of the shifted operator
-            v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            v /= np.linalg.norm(v)
-            continue
-        v = w / norm_w
-    return lam, max_iters, residual, False
+    def __init__(self, dim: int, capacity: int, first: np.ndarray):
+        self._rows = max(1, min(capacity, _BLOCK_BYTES // (16 * dim)))
+        self._capacity = capacity
+        self._blocks: list[np.ndarray] = []
+        self.size = 0
+        self.append(first)
+
+    def append(self, v: np.ndarray) -> None:
+        if self.size == len(self._blocks) * self._rows:
+            rows = min(self._rows, self._capacity - self.size)
+            self._blocks.append(np.empty((rows, v.shape[0]), dtype=np.complex128))
+        self._blocks[-1][self.size % self._rows] = v
+        self.size += 1
+
+    def row(self, i: int) -> np.ndarray:
+        """Basis vector i; negative i counts from the newest."""
+        i %= self.size
+        return self._blocks[i // self._rows][i % self._rows]
+
+    def _filled(self):
+        for b, block in enumerate(self._blocks):
+            yield block[: self.size - b * self._rows]
+
+    def orthogonalize(self, w: np.ndarray) -> None:
+        """Remove every basis direction from w in place, block by block."""
+        for block in self._filled():
+            coeffs = (block @ w.conj()).conj()  # never copies the block
+            w -= coeffs @ block
+
+    def combine(self, s: np.ndarray) -> np.ndarray:
+        """sum_i s[i] q_i."""
+        out = np.zeros(self._blocks[0].shape[1], dtype=np.complex128)
+        start = 0
+        for block in self._filled():
+            out += s[start : start + len(block)] @ block
+            start += len(block)
+        return out
+
+
+def _ritz(alphas: list[float], betas: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the Lanczos tridiagonal matrix (len(betas) == len(alphas) - 1)."""
+    off = np.asarray(betas, dtype=float)
+    return np.linalg.eigh(np.diag(alphas) + np.diag(off, 1) + np.diag(off, -1))
 
 
 def extremal_eigs(
@@ -194,51 +310,80 @@ def extremal_eigs(
     tol: float = DEFAULT_EIG_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
     dense_limit: int | None = None,
-    method: str | None = None,
 ) -> SpectralResult:
-    """Largest and smallest eigenvalues of H.
+    """Largest and smallest eigenvalues of H, with the top Ritz vector.
 
-    Dense exact eigensolve when n is within the dense limit, otherwise a
-    shifted power iteration per extremal end, shifted by the Pauli 1-norm
-    (a cheap certified bound on the operator norm).  ``method`` forces
-    "dense" or "iterative" explicitly.
+    Lanczos with full reorthogonalisation from the fixed start vector of
+    ``default_rng(7)``.  Both ends come from the one Krylov space.  The
+    Ritz values are checked every few steps, and the solve stops when the
+    Ritz residual of both ends is at most ``tol``, when the Krylov space
+    becomes invariant (an exact breakdown), or after ``max_iters``
+    matvecs.  The basis lives within the ``to_dense`` byte budget of
+    ``dense_limit``; when it is full the iteration restarts from the
+    normalised sum of the two extremal Ritz vectors.
     """
     if h.is_zero():
         raise ValueError("extremal_eigs needs a nonzero Hamiltonian")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     limit = DEFAULT_DENSE_LIMIT if dense_limit is None else dense_limit
-    if method is None:
-        method = "dense" if h.n <= limit else "iterative"
-    if method == "dense":
-        vals, vecs = np.linalg.eigh(to_dense(h, dense_limit=limit))
-        return SpectralResult(
-            lambda_max=float(vals[-1]),
-            lambda_min=float(vals[0]),
-            eigvec_max=StateVector.normalized(h.n, vecs[:, -1]),
-            method="dense",
-            iterations=0,
-            residual=0.0,
-        )
-    if method != "iterative":
-        raise ValueError(f"unknown method {method!r}; expected 'dense' or 'iterative'")
-    shift = pauli_1_norm(h)
-    hi, it_hi, r_hi, ok_hi = _power_iteration(h, shift, True, tol, max_iters)
-    lo, it_lo, r_lo, ok_lo = _power_iteration(h, shift, False, tol, max_iters)
-    return SpectralResult(
-        lambda_max=max(hi, lo),
-        lambda_min=min(hi, lo),
-        eigvec_max=None,
-        method="iterative",
-        iterations=it_hi + it_lo,
-        residual=max(r_hi, r_lo),
-        converged=ok_hi and ok_lo,
-    )
+    budget = _dense_budget(limit)
+    dim = 1 << h.n
+    kernel = _GroupedKernel(h, keep_bytes=budget)
+    capacity = min(dim, max(_MIN_BASIS, budget // (16 * dim)))
+    breakdown = _BREAKDOWN * pauli_1_norm(h)
+
+    rng = np.random.default_rng(7)  # fixed start for a deterministic contract
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    v /= np.linalg.norm(v)
+    matvecs = 0
+    while True:  # one pass per restart
+        basis = _KrylovBasis(dim, capacity, v)
+        alphas: list[float] = []
+        betas: list[float] = []
+        while True:
+            q = basis.row(-1)
+            w = kernel.apply(q)
+            matvecs += 1
+            alphas.append(float(np.vdot(q, w).real))
+            # The three-term recurrence, then one full Gram-Schmidt pass: the
+            # pass alone, on w = H q, loses orthogonality when w lies mostly
+            # in the basis; after the recurrence one pass keeps it near 1e-15.
+            w -= alphas[-1] * q
+            if betas:
+                w -= betas[-1] * basis.row(-2)
+            basis.orthogonalize(w)
+            beta = float(np.linalg.norm(w))
+            j = len(alphas)
+            # an invariant Krylov space (exact breakdown) has exact Ritz values
+            stop = beta <= breakdown or j == dim or matvecs >= max_iters
+            if stop or j == capacity or j % max(4, j // 16) == 0:
+                theta, s = _ritz(alphas, betas)
+                residual = beta * max(abs(s[-1, 0]), abs(s[-1, -1]))
+                if stop or residual <= tol:
+                    return SpectralResult(
+                        lambda_max=float(theta[-1]),
+                        lambda_min=float(theta[0]),
+                        eigvec_max=StateVector.normalized(h.n, basis.combine(s[:, -1])),
+                        method="iterative",
+                        iterations=matvecs,
+                        residual=float(residual),
+                        converged=bool(residual <= tol),
+                    )
+                if j == capacity:
+                    v = basis.combine(s[:, 0] + s[:, -1])
+                    v /= np.linalg.norm(v)
+                    break
+            betas.append(beta)
+            w /= beta
+            basis.append(w)
 
 
 def operator_norm(h: Hamiltonian, **kwargs) -> float:
-    """Spectral norm max(|lambda_max|, |lambda_min|); raises on non-convergence."""
-    result = extremal_eigs(h, **kwargs)
-    if not result.converged:
-        raise RuntimeError(
-            f"eigenvalue iteration did not converge (residual {result.residual:.3e})"
-        )
+    """Spectral norm max(|lambda_max|, |lambda_min|).
+
+    Raises:
+        ConvergenceError: the eigensolve stopped above its tolerance.
+    """
+    result = extremal_eigs(h, **kwargs).require_converged()
     return max(abs(result.lambda_max), abs(result.lambda_min))

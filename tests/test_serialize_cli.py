@@ -4,8 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from pauliham.cli import main
-from pauliham.paulis import Hamiltonian, hadamard_power, pauli_1_norm, parse_pauli
+from pauliham.cli import EXIT_CONVERGENCE, main
+from pauliham.paulis import (
+    Hamiltonian,
+    hadamard_power,
+    parse_pauli,
+    pauli_1_norm,
+    random_local,
+    xxzz_chain,
+)
 from pauliham.serialize import (
     SchemaError,
     load_hamiltonian,
@@ -13,7 +20,7 @@ from pauliham.serialize import (
     save_hamiltonian,
     save_state,
 )
-from pauliham.spectra import StateVector
+from pauliham.spectra import ConvergenceError, StateVector, extremal_eigs, to_dense
 
 
 class TestHamiltonianFiles:
@@ -171,7 +178,9 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["lambda_max"] == pytest.approx(2.0, abs=1e-12)
         assert doc["lambda_min"] == pytest.approx(-2.0, abs=1e-12)
-        assert doc["method"] == "dense"
+        assert doc["method"] == "iterative" and doc["converged"] is True
+        want = np.linalg.eigvalsh(to_dense(load_hamiltonian(h)))
+        assert (doc["lambda_max"], doc["lambda_min"]) == pytest.approx((want[-1], want[0]), abs=1e-12)
 
     def test_game_with_top_eig(self, tmp_path, capsys):
         z = tmp_path / "z.json"
@@ -253,6 +262,57 @@ class TestCli:
         h = tmp_path / "h2.json"
         save_hamiltonian(hadamard_power(2), h)
         assert main(["amplify", "--ham", str(h), "--k", "12", "--out", str(tmp_path / "o.json")]) == 3
+
+    def test_exit_code_convergence_error(self, tmp_path, capsys):
+        h = tmp_path / "h.json"
+        vec = tmp_path / "top.json"
+        save_hamiltonian(random_local(6, 2, 12, seed=1), h)
+        argv = ["spectrum", "--ham", str(h), "--tol", "1e-14", "--max-iters", "2"]
+        # an unconverged spectrum is still reported ...
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["converged"] is False
+        # ... but its Ritz vector is not saved as an eigenvector
+        assert main(argv + ["--eigvec-out", str(vec)]) == EXIT_CONVERGENCE == 5
+        assert "convergence error" in capsys.readouterr().err
+        assert not vec.exists()
+
+    def test_norms_convergence_error_exits_5(self, tmp_path, capsys, monkeypatch):
+        import pauliham.cli
+
+        def unconverged(ham):
+            raise ConvergenceError("eigensolver did not converge")
+
+        h = tmp_path / "h.json"
+        _write_ham(h, {"XX": 1.0, "ZZ": 1.0})
+        monkeypatch.setattr(pauliham.cli, "operator_norm", unconverged)
+        assert main(["norms", "--ham", str(h)]) == 5
+        assert "norms: convergence error" in capsys.readouterr().err
+
+    def test_spectrum_output_byte_identical(self, tmp_path, capsys):
+        h = tmp_path / "h.json"
+        save_hamiltonian(random_local(9, 3, 30, seed=4), h)
+        runs = []
+        for _ in range(2):
+            assert main(["spectrum", "--ham", str(h)]) == 0
+            runs.append(capsys.readouterr().out.encode())
+        assert runs[0] == runs[1]
+
+    def test_top_eig_beyond_old_dense_limit(self, tmp_path, capsys):
+        h = tmp_path / "h.json"
+        save_hamiltonian(xxzz_chain(13), h)
+        assert main(["game", "--ham", str(h), "--state", "top-eig", "--shots", "100", "--seed", "1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        # top eigenvalue of the open XX+ZZ chain over its Pauli 1-norm 24
+        lam = extremal_eigs(xxzz_chain(13)).lambda_max
+        assert doc["exact_probability"] == pytest.approx(0.5 + lam / 48.0, abs=1e-9)
+
+    def test_cli_import_does_not_load_scipy(self):
+        import subprocess
+        import sys
+
+        code = "import sys, pauliham.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_norm_precondition_is_input_error(self, tmp_path):
         h = tmp_path / "big.json"

@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
 
+from pauliham.amplify import amplify
 from pauliham.paulis import (
     CapacityError,
     DimensionMismatchError,
     Hamiltonian,
+    PauliString,
     hadamard_power,
     linear_combine,
+    random_local,
     tensor_power,
     xxzz_chain,
 )
 from pauliham.spectra import (
+    ConvergenceError,
     SpectralResult,
     StateVector,
     expectation,
@@ -21,7 +25,7 @@ from pauliham.spectra import (
     to_dense,
 )
 
-from conftest import kron_dense, random_hamiltonian, random_state
+from conftest import SITE_MATRICES, kron_dense, random_hamiltonian, random_pauli, random_state
 
 
 class TestStateVector:
@@ -150,12 +154,30 @@ class TestExpectation:
             expectation(Hamiltonian.from_labels({"XX": 1.0}), StateVector.basis(1, 0))
 
 
+def _oracle(h):
+    """(lambda_max, lambda_min) from numpy's eigvalsh on the library's dense matrix."""
+    vals = np.linalg.eigvalsh(to_dense(h))
+    return vals[-1], vals[0]
+
+
+def _ritz_residual(h, res):
+    y = res.eigvec_max.amplitudes
+    return float(np.linalg.norm(matvec(h, y) - res.lambda_max * y))
+
+
+def _amplified(scale, k):
+    """2((I + H)/2)^(x k) - I for H = scale * (0.6 X + 0.8 Z), whose norm is scale."""
+    return amplify(Hamiltonian.from_labels({"X": 0.6 * scale, "Z": 0.8 * scale}), k)
+
+
 class TestExtremalEigs:
     def test_hadamard_unit_norm(self):
-        res = extremal_eigs(hadamard_power(1))
+        h = hadamard_power(1)
+        res = extremal_eigs(h)
         assert res.lambda_max == pytest.approx(1.0, abs=1e-12)
         assert res.lambda_min == pytest.approx(-1.0, abs=1e-12)
-        assert res.method == "dense"
+        assert (res.lambda_max, res.lambda_min) == pytest.approx(_oracle(h), abs=1e-12)
+        assert res.method == "iterative" and res.converged
 
     def test_z(self):
         res = extremal_eigs(Hamiltonian.from_labels({"Z": 1.0}))
@@ -180,29 +202,143 @@ class TestExtremalEigs:
         for _ in range(6):
             n = int(rng.integers(2, 9))
             h = random_hamiltonian(rng, n, max_terms=5)
-            dense = extremal_eigs(h, method="dense")
-            iterative = extremal_eigs(h, method="iterative", tol=1e-9)
+            want_max, want_min = _oracle(h)
+            iterative = extremal_eigs(h, tol=1e-9)
             assert iterative.converged
-            assert iterative.lambda_max == pytest.approx(dense.lambda_max, abs=1e-6)
-            assert iterative.lambda_min == pytest.approx(dense.lambda_min, abs=1e-6)
+            assert iterative.lambda_max == pytest.approx(want_max, abs=1e-6)
+            assert iterative.lambda_min == pytest.approx(want_min, abs=1e-6)
             assert iterative.residual <= 1e-9
-            assert iterative.eigvec_max is None
+            assert _ritz_residual(h, iterative) <= 1e-8
 
     def test_iterative_auto_beyond_dense_limit(self, rng):
+        # n above dense_limit: to_dense refuses, the solver still runs
         h = random_hamiltonian(rng, 4, max_terms=4)
+        with pytest.raises(CapacityError):
+            to_dense(h, dense_limit=3)
         res = extremal_eigs(h, dense_limit=3)
-        assert res.method == "iterative"
+        assert res.method == "iterative" and res.converged
+        assert (res.lambda_max, res.lambda_min) == pytest.approx(_oracle(h), abs=1e-9)
 
     def test_non_convergence_is_explicit(self, rng):
         h = random_hamiltonian(rng, 4, max_terms=5)
-        res = extremal_eigs(h, method="iterative", tol=1e-14, max_iters=2)
+        res = extremal_eigs(h, tol=1e-14, max_iters=2)
         assert isinstance(res, SpectralResult)
         assert not res.converged
         assert res.residual > 0.0
+        assert res.iterations == 2
+        with pytest.raises(ConvergenceError):
+            res.require_converged()
+        with pytest.raises(ConvergenceError):
+            operator_norm(h, tol=1e-14, max_iters=2)
 
-    def test_unknown_method(self, rng):
-        with pytest.raises(ValueError):
-            extremal_eigs(random_hamiltonian(rng, 2), method="arnoldi")
+    def test_max_iters_must_be_positive(self, rng):
+        with pytest.raises(ValueError, match="max_iters"):
+            extremal_eigs(random_hamiltonian(rng, 2), max_iters=0)
+
+
+class TestLanczosOracle:
+    """The solver against eigvalsh(to_dense(h)) across operator families."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seed_sweep(self, seed):
+        rng = np.random.default_rng([seed, 2024])
+        for n in range(2, 11):
+            cases = [
+                random_local(n, min(n, 3), 12, seed=int(rng.integers(2**31))),
+                random_hamiltonian(rng, n, max_terms=8),
+                random_hamiltonian(rng, n, max_terms=8, include_identity=True),
+                # diagonal only: a few distinct eigenvalues, early breakdown
+                Hamiltonian.from_pairs(
+                    n,
+                    [(PauliString(n, 0, int(rng.integers(1, 1 << n))), float(rng.normal())) for _ in range(3)],
+                ),
+                # one term: eigenvalues +-c, breakdown after two steps
+                Hamiltonian.from_pairs(n, [(random_pauli(rng, n), float(rng.normal()))]),
+            ]
+            for h in cases:
+                if h.is_zero():
+                    continue
+                res = extremal_eigs(h)
+                assert res.converged
+                assert (res.lambda_max, res.lambda_min) == pytest.approx(_oracle(h), abs=1e-9)
+
+    @pytest.mark.parametrize("scale,k", [(1.0, 3), (1.0, 9), (0.7, 4), (0.7, 8)])
+    def test_amplified_yes_and_no(self, scale, k):
+        h = _amplified(scale, k)
+        res = extremal_eigs(h)
+        assert res.converged
+        assert (res.lambda_max, res.lambda_min) == pytest.approx(_oracle(h), abs=1e-9)
+        assert res.lambda_max == pytest.approx(2.0 * ((1.0 + scale) / 2.0) ** k - 1.0, abs=1e-9)
+
+    def test_yes_instance_breaks_down_after_two_steps(self):
+        # (I + H)/2 is a projector when ||H|| = 1 with eigenvalues +-1, so the
+        # amplified operator has only the eigenvalues +-1
+        res = extremal_eigs(_amplified(1.0, 6))
+        assert res.iterations == 2
+        assert res.converged and res.residual <= 1e-12
+        assert (res.lambda_max, res.lambda_min) == pytest.approx((1.0, -1.0), abs=1e-12)
+
+    def test_eigenvector_residual_beyond_old_dense_limit(self):
+        h = random_local(13, 3, 30, seed=5)
+        res = extremal_eigs(h)
+        assert res.converged
+        assert res.eigvec_max.n == 13
+        assert _ritz_residual(h, res) <= 1e-7
+        assert expectation(h, res.eigvec_max) == pytest.approx(res.lambda_max, abs=1e-9)
+
+    def test_small_budget_restarts_and_converges(self, rng):
+        # budget 16 * 4^6 B holds 16 vectors of dim 2^10, far fewer than the
+        # iterations needed, so the solve restarts several times
+        h = random_local(10, 3, 30, seed=3)
+        roomy = extremal_eigs(h)
+        tight = extremal_eigs(h, dense_limit=7)
+        assert tight.converged
+        assert tight.iterations > 16 * 3 and tight.iterations > roomy.iterations
+        assert (tight.lambda_max, tight.lambda_min) == pytest.approx(_oracle(h), abs=1e-9)
+        assert _ritz_residual(h, tight) <= 1e-7
+
+    def test_deterministic(self, rng):
+        h = random_hamiltonian(rng, 7, max_terms=10)
+        a, b = extremal_eigs(h), extremal_eigs(h)
+        assert (a.lambda_max, a.lambda_min, a.iterations, a.residual) == (
+            b.lambda_max, b.lambda_min, b.iterations, b.residual
+        )
+        assert np.array_equal(a.eigvec_max.amplitudes, b.eigvec_max.amplitudes)
+
+    def test_matches_scipy_eigsh(self):
+        sparse = pytest.importorskip("scipy.sparse")
+        linalg = pytest.importorskip("scipy.sparse.linalg")
+        h = random_local(13, 3, 40, seed=11)
+        site = {label: sparse.csr_matrix(m) for label, m in SITE_MATRICES.items()}
+        mat = sparse.csr_matrix((1 << h.n, 1 << h.n), dtype=complex)
+        for p, c in h.terms.items():
+            term = sparse.identity(1, dtype=complex, format="csr")
+            for ch in reversed(p.label):  # qubit 0 is the least significant factor
+                term = sparse.kron(term, site[ch], format="csr")
+            mat = mat + c * term
+        dim = 1 << h.n
+        v0 = np.random.default_rng(0).normal(size=dim).astype(complex)
+        hi = linalg.eigsh(mat, k=1, which="LA", tol=1e-12, v0=v0, return_eigenvectors=False)[0]
+        lo = linalg.eigsh(mat, k=1, which="SA", tol=1e-12, v0=v0, return_eigenvectors=False)[0]
+        res = extremal_eigs(h)
+        assert res.converged
+        assert (res.lambda_max, res.lambda_min) == pytest.approx((hi, lo), abs=1e-9)
+
+
+class TestGroupedKernel:
+    def test_matvec_matches_dense_at_larger_n(self, rng):
+        for n in (7, 9):
+            h = random_hamiltonian(rng, n, max_terms=20, include_identity=True)
+            psi = random_state(rng, n)
+            assert np.max(np.abs(matvec(h, psi) - kron_dense(h) @ psi.amplitudes)) < 1e-10
+
+    def test_shared_x_masks_and_mixed_y_parity(self):
+        # X, Y share x; XZ, YZ, XI, YY... groups mixing odd and even Y counts
+        h = Hamiltonian.from_labels(
+            {"XI": 0.3, "YI": -0.7, "XZ": 0.2, "YZ": 0.5, "YY": 0.4, "XY": -0.1, "ZZ": 1.1, "II": 0.25}
+        )
+        psi = StateVector.normalized(2, [1.0, 2.0 - 1.0j, -0.5j, 0.3])
+        assert np.max(np.abs(matvec(h, psi) - kron_dense(h) @ psi.amplitudes)) < 1e-12
 
 
 def test_psd_tensor_power_top_eigenvalue(rng):
