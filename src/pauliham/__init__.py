@@ -30,16 +30,17 @@ from .paulis import (
     DimensionMismatchError,
     Hamiltonian,
     HermiticityError,
-    PauliOperator,
     PauliParseError,
     PauliString,
     Phase,
     apply_polynomial,
     build_model,
     commutes,
+    format_labels,
     format_pauli,
     hadamard_power,
     linear_combine,
+    parse_labels,
     parse_pauli,
     pauli_1_norm,
     pauli_mul,

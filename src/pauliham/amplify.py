@@ -150,27 +150,22 @@ def amplify(
 ) -> Hamiltonian:
     """Apply the shifted tensor-power transform; the k = 1 case returns H itself.
 
-    Precondition ||H|| <= 1 is checked with the eigensolver when n is
-    within the dense limit, accepted on the certificate ||H||_P1 <= 1
-    otherwise, and can be waived explicitly with ``assume_norm_ok`` when
-    neither check is feasible or the caller has already made it.
+    Precondition ||H|| <= 1 is accepted without a solve on the certificate
+    ||H|| <= ||H||_P1 <= 1.  Otherwise the eigensolver measures ||H||
+    within the memory budget ``dense_limit`` sets, which holds its vectors
+    up to n = 2 * dense_limit.  ``assume_norm_ok`` waives the check, for
+    callers that have already made it.
 
     Raises:
-        CapacityError: the expanded operator would exceed the term cap.
-        ValueError: the norm precondition fails or cannot be certified.
+        CapacityError: the expanded operator would exceed the term cap, or
+            the norm check needs a solve beyond n = 2 * dense_limit.
+        ValueError: ||H|| > 1.
         ConvergenceError: the norm check's eigensolve did not converge.
     """
     if k < 1:
         raise ValueError(f"tensor power k must be >= 1, got {k}")
-    limit = DEFAULT_DENSE_LIMIT if dense_limit is None else dense_limit
-    if not assume_norm_ok:
-        if h.n <= limit:
-            _require_unit_norm(operator_norm(h, dense_limit=limit))
-        elif pauli_1_norm(h) > 1.0 + 1e-12:
-            raise ValueError(
-                "cannot certify ||H|| <= 1: n exceeds the dense limit of the norm check and "
-                "||H||_P1 > 1; pass assume_norm_ok=True to override"
-            )
+    if not assume_norm_ok and pauli_1_norm(h) > 1.0 + 1e-12:
+        _require_unit_norm(operator_norm(h, dense_limit=dense_limit))
     shifted = linear_combine([(0.5, Hamiltonian.identity(h.n)), (0.5, h)])
     powered = tensor_power(shifted, k, term_cap=term_cap)
     return linear_combine(
@@ -188,17 +183,19 @@ def verify_amplification(
 ) -> AmplificationReport:
     """Amplify H and check every measurable bound, returning the filled report.
 
-    H's spectrum is solved once, at any n: its top eigenvalue is lambda_in
-    and its norm is checked against amplify's precondition ||H|| <= 1
-    here, so amplify does not solve it again.  The eigenvalue identity
-    lambda_out = map(lambda_in, k) is compared only when n*k fits the dense
-    limit; the Pauli 1-norm comparison runs at any size.  An input whose
+    H's spectrum is solved once (up to n = 2 * dense_limit): its top
+    eigenvalue is lambda_in and its norm is checked against amplify's
+    precondition ||H|| <= 1 here, so amplify does not solve it again.
+    The eigenvalue identity lambda_out = map(lambda_in, k) is compared only
+    when n*k fits the dense limit; the Pauli 1-norm comparison runs at any
+    size.  An input whose
     lambda_max lands strictly between the two promise thresholds gets
     promise_case "none" and fails verification, since the transform's
     guarantees only speak to promised instances.
 
     Raises:
         ValueError: ||H|| > 1, with amplify's message.
+        CapacityError: n > 2 * dense_limit, or the term cap is exceeded.
         ConvergenceError: an eigensolve did not converge.
     """
     report = amplification_bounds(params)

@@ -39,7 +39,7 @@ from .paulis import (
 )
 from .serialize import (
     SchemaError,
-    hamiltonian_to_jsonable,
+    hamiltonian_json,
     load_hamiltonian,
     load_state,
     save_state,
@@ -96,6 +96,11 @@ def _emit_json(doc: dict, out: "str | None", args: argparse.Namespace) -> None:
     _emit_text(json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n", out, args)
 
 
+def _emit_hamiltonian(ham, out: "str | None", args: argparse.Namespace) -> None:
+    """_emit_json of the Hamiltonian document, written from its columns."""
+    _emit_text(hamiltonian_json(ham, {"config": _config_of(args)}) + "\n", out, args)
+
+
 def _sidecar_log(out: str, args: argparse.Namespace) -> None:
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
     line = f"{stamp} {args.subcommand} {json.dumps(_config_of(args), sort_keys=True)}\n"
@@ -119,7 +124,7 @@ def _cmd_build(args) -> int:
         m=args.m,
         seed=args.seed,
     )
-    _emit_json(hamiltonian_to_jsonable(ham), args.out, args)
+    _emit_hamiltonian(ham, args.out, args)
     return EXIT_OK
 
 
@@ -161,7 +166,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_amplify(args) -> int:
     ham = load_hamiltonian(args.ham)
     amplified = amplify(ham, args.k, assume_norm_ok=args.assume_norm_ok)
-    _emit_json(hamiltonian_to_jsonable(amplified), args.out, args)
+    _emit_hamiltonian(amplified, args.out, args)
     return EXIT_OK
 
 

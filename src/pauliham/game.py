@@ -82,11 +82,21 @@ def accept_prob_exact(h: Hamiltonian, psi: StateVector) -> float:
     """
     if h.n != psi.n:
         raise ValueError(f"qubit counts differ: {h.n} vs {psi.n}")
-    paulis, signs, probs = term_distribution(h)  # raises on the zero Hamiltonian
-    expectations = np.array([pauli_expectation(p, psi) for p in paulis])
-    coeffs = np.array([h.terms[p] for p in paulis])
+    signs, probs = term_distribution(h)  # raises on the zero Hamiltonian
+    return _accept_prob(h, signs, probs, _expectations(h, psi))
+
+
+def _expectations(h: Hamiltonian, psi: StateVector) -> np.ndarray:
+    """<psi|P|psi> of every term, in canonical order."""
+    return np.array([pauli_expectation(h.pauli(i), psi) for i in range(h.num_terms)])
+
+
+def _accept_prob(
+    h: Hamiltonian, signs: np.ndarray, probs: np.ndarray, expectations: np.ndarray
+) -> float:
+    """accept_prob_exact from the term distribution and the term expectations."""
     lam = pauli_1_norm(h)
-    closed = 0.5 + float(coeffs @ expectations) / (2.0 * lam)
+    closed = 0.5 + float(h.coeffs @ expectations) / (2.0 * lam)
     termwise = float(probs @ (0.5 + 0.5 * signs * expectations))
     if abs(closed - termwise) > 1e-12:
         raise ArithmeticError(
@@ -98,11 +108,11 @@ def accept_prob_exact(h: Hamiltonian, psi: StateVector) -> float:
 
 def sample_term(h: Hamiltonian, rng: np.random.Generator) -> tuple[PauliString, int]:
     """Draw one term with probability proportional to |beta_P|; one uniform consumed."""
-    paulis, signs, probs = term_distribution(h)
+    signs, probs = term_distribution(h)
     cum = np.cumsum(probs)
     cum[-1] = 1.0
-    i = min(int(np.searchsorted(cum, rng.random(), side="right")), len(paulis) - 1)
-    return paulis[i], int(signs[i])
+    i = min(int(np.searchsorted(cum, rng.random(), side="right")), len(probs) - 1)
+    return h.pauli(i), int(signs[i])
 
 
 def play_round(h: Hamiltonian, psi: StateVector, rng: np.random.Generator) -> GameRound:
@@ -135,16 +145,16 @@ def simulate(
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    paulis, signs, probs = term_distribution(h)
+    signs, probs = term_distribution(h)
     cum = np.cumsum(probs)
     cum[-1] = 1.0
-    expectations = np.array([pauli_expectation(p, psi) for p in paulis])
-    exact = accept_prob_exact(h, psi)
+    expectations = _expectations(h, psi)
+    exact = _accept_prob(h, signs, probs, expectations)
 
     uniforms = np.random.Generator(np.random.Philox(key=seed)).random(4 * shots)
     uniforms = uniforms.reshape(shots, 4)
     term_idx = np.minimum(
-        np.searchsorted(cum, uniforms[:, 0], side="right"), len(paulis) - 1
+        np.searchsorted(cum, uniforms[:, 0], side="right"), len(probs) - 1
     )
     p_plus = 0.5 * (1.0 + expectations[term_idx])
     outcomes = np.where(uniforms[:, 1] < p_plus, 1, -1)
@@ -156,9 +166,13 @@ def simulate(
         record_rounds = shots <= ROUND_RECORD_LIMIT
     rounds = ()
     if record_rounds:
+        # one PauliString per sampled term, shared by its rounds
+        terms = {t: h.pauli(t) for t in np.unique(term_idx).tolist()}
         rounds = tuple(
-            GameRound(paulis[t], int(s), int(o), bool(a))
-            for t, s, o, a in zip(term_idx, round_signs, outcomes, accepted)
+            GameRound(terms[t], s, o, a)
+            for t, s, o, a in zip(
+                term_idx.tolist(), round_signs.tolist(), outcomes.tolist(), accepted.tolist()
+            )
         )
     return GameTranscript(
         rounds=rounds,

@@ -1,8 +1,8 @@
 """Pauli string and Hamiltonian algebra on symplectic bit masks.
 
-A Pauli string on n qubits is encoded as two integer bit masks: bit i of
-``x_mask``/``z_mask`` gives the (x, z) code of the operator on qubit i,
-with (0,0)=I, (1,0)=X, (0,1)=Z and (1,1)=Y.  Qubit i corresponds to
+A Pauli string on n qubits is two bit masks, the symplectic encoding of
+Aaronson and Gottesman (2004): bit i of ``x``/``z`` gives the (x, z) code
+of qubit i, with (0,0)=I, (1,0)=X, (0,1)=Z and (1,1)=Y.  Qubit i is
 position i of the letter label, so ``parse_pauli("XZ")`` puts X on qubit 0.
 
 The single-site convention is the Hermitian one,
@@ -14,16 +14,31 @@ product of two strings is a third string times a power of i (e.g.
 X*Z = -iY).  Keeping the basis Hermitian is what lets Hamiltonian
 coefficients stay real.
 
-Python integers are arbitrary precision, so the masks hold any qubit
-count; only the dense routines in :mod:`pauliham.spectra` are limited to
-small n.
+Two representations share that encoding:
+
+* :class:`PauliString` is one string, its masks Python integers of any
+  width.  It is the per-term view that ``pauli_mul``, ``commutes``,
+  ``pauli_expectation`` and the game's rounds work on.
+* :class:`Hamiltonian` is a column store: ``x`` and ``z`` are
+  ``uint64[T, W]`` arrays with W = ceil(n / 64) words (qubit i at bit
+  i % 64 of word i // 64), and ``coeffs`` is ``float64[T]``.  At n <= 64 a
+  term takes 24 bytes.  Every operation below reads and writes the
+  columns; no per-term objects are built.
+
+The rows of a Hamiltonian are always in canonical order: label order with
+I < X < Y < Z and qubit 0 most significant, the order of files and of
+sampling.  Canonicalising sorts rows with a stable sort on keys that
+encode that order, sums repeated strings in the order they arrived (the
+floats a sequential sum gives), and drops coefficients at or below the
+prune tolerance.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -39,6 +54,14 @@ DEFAULT_PRUNE_TOLERANCE = 1e-12
 DEFAULT_TERM_CAP = int(os.environ.get("PAULIHAM_TERM_CAP", str(2**22)))
 
 _PHASE_VALUES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+_PHASE_ARRAY = np.array(_PHASE_VALUES)
+
+_WORD_MASK = (1 << 64) - 1
+# Site letters indexed by x + 2z, and the inverse map from label bytes
+# (255 marks a byte that is not a Pauli letter).
+_LETTERS = np.frombuffer(b"IXZY", dtype=np.uint8)
+_CODES = np.full(256, 255, dtype=np.uint8)
+_CODES[_LETTERS] = np.arange(4, dtype=np.uint8)
 
 
 class PauliParseError(ValueError):
@@ -82,7 +105,7 @@ class PauliString:
     def identity(cls, n: int) -> "PauliString":
         return cls(n, 0, 0)
 
-    @property
+    @functools.cached_property
     def label(self) -> str:
         return format_pauli(self)
 
@@ -158,6 +181,328 @@ def format_pauli(p: PauliString) -> str:
     return "".join(out)
 
 
+# ------------------------------------------------------------ mask columns
+
+
+def _words(n: int) -> int:
+    return (n + 63) // 64
+
+
+def _pack(masks: Sequence[int], n: int) -> np.ndarray:
+    """uint64[T, W] column of Python-integer masks."""
+    w = _words(n)
+    if w == 1:
+        return np.array(masks, dtype=np.uint64).reshape(-1, 1)
+    rows = [[(m >> (64 * k)) & _WORD_MASK for k in range(w)] for m in masks]
+    return np.array(rows, dtype=np.uint64).reshape(-1, w)
+
+
+def _unpack(row: np.ndarray) -> int:
+    """Python-integer mask of one uint64[W] row."""
+    return sum(int(word) << (64 * k) for k, word in enumerate(row.tolist()))
+
+
+def _bits(words: np.ndarray, n: int) -> np.ndarray:
+    """uint8[T, n] array of bit i of each row, from uint64[T, W] columns."""
+    raw = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(raw, axis=1, bitorder="little")[:, :n]
+
+
+def _from_bits(bits: np.ndarray, w: int) -> np.ndarray:
+    """Inverse of _bits: uint64[T, W] columns of a uint8[T, n] bit array."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    out = np.zeros((len(bits), 8 * w), dtype=np.uint8)
+    out[:, : packed.shape[1]] = packed
+    return out.view("<u8").astype(np.uint64, copy=False)
+
+
+def _label_error(label: str, n: int) -> None:
+    """Raise the error parse_pauli and the length check give for one label."""
+    p = parse_pauli(label)
+    if p.n != n:
+        raise DimensionMismatchError(f"term {label} has {p.n} qubits, expected {n}")
+
+
+def parse_labels(labels: Sequence[str], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mask columns (x, z) of many length-n labels at once.
+
+    The vectorised parse_pauli: labels that all have length n are read as
+    one ``S{n}`` byte array and mapped through a lookup table, so no
+    per-label objects are built.  Otherwise, or when a byte is no Pauli
+    letter, the labels are parsed one by one up to the first bad one, for
+    its message.
+
+    Raises:
+        PauliParseError: a label is empty or has an illegal character.
+        DimensionMismatchError: a label's length is not n.
+    """
+    w = _words(n)
+    if not labels:
+        empty = np.zeros((0, w), dtype=np.uint64)
+        return empty, empty.copy()
+    raw = None
+    # Checked first: a fixed-width array would cut longer labels short,
+    # and a large n would make it large.
+    if set(map(len, labels)) == {n}:
+        try:
+            raw = np.array(labels, dtype=f"S{n}").view(np.uint8).reshape(len(labels), n)
+        except UnicodeEncodeError:
+            pass
+    if raw is not None:
+        codes = _CODES[raw]
+        bad = (codes == 255).any(axis=1)
+    if raw is None or bad.any():
+        rows = range(len(labels)) if raw is None else np.flatnonzero(bad).tolist()
+        for i in rows:
+            _label_error(labels[i], n)
+    return _from_bits(codes & 1, w), _from_bits(codes >> 1, w)
+
+
+def format_labels(x: np.ndarray, z: np.ndarray, n: int) -> list[str]:
+    """Labels of mask columns; the vectorised format_pauli."""
+    if len(x) == 0:
+        return []
+    chars = _LETTERS[_bits(x, n) + 2 * _bits(z, n)]
+    return chars.view(f"S{n}").ravel().astype(f"U{n}").tolist()
+
+
+# _SPREAD_BYTE[v] holds bit j of the byte v at bit 2(7 - j): the bits
+# reversed, so that the lowest-numbered qubit is the most significant, and
+# spread out to leave room for the second bit of a 2-bit digit.
+_BYTES = np.arange(256, dtype=np.uint64)
+_SPREAD_BYTE = sum(((_BYTES >> j) & 1) << (14 - 2 * j) for j in range(8))
+
+
+def _sort_keys(x: np.ndarray, z: np.ndarray, n: int) -> list[np.ndarray]:
+    """uint64 keys whose lexicographic order is label order, most significant first.
+
+    Letter order I < X < Y < Z is the 2-bit digit 2z + (x ^ z).  Each key
+    holds the digits of 32 qubits, the lowest-numbered qubit in the top bits.
+    """
+    zb = np.ascontiguousarray(z, dtype="<u8").view(np.uint8)  # byte b: qubits 8b..8b+7
+    tb = np.ascontiguousarray(x ^ z, dtype="<u8").view(np.uint8)
+    keys = []
+    for chunk in range((n + 31) // 32):
+        key = np.zeros(len(zb), dtype=np.uint64)
+        for b in range(4 * chunk, min(4 * chunk + 4, (n + 7) // 8)):
+            digits = (_SPREAD_BYTE[zb[:, b]] << 1) | _SPREAD_BYTE[tb[:, b]]
+            key |= digits << (48 - 16 * (b % 4))
+        keys.append(key)
+    return keys
+
+
+def _canonical(
+    n: int, x: np.ndarray, z: np.ndarray, coeffs: np.ndarray, tolerance: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows in label order, repeats summed in row order, |c| <= tolerance dropped.
+
+    Raises:
+        ValueError: a (summed) coefficient is not finite.
+    """
+    if len(coeffs) > 1:
+        keys = _sort_keys(x, z, n)
+        order = np.argsort(keys[0], kind="stable") if len(keys) == 1 else np.lexsort(keys[::-1])
+        new = np.zeros(len(order) - 1, dtype=bool)
+        for key in keys:
+            ordered = key[order]
+            new |= ordered[1:] != ordered[:-1]
+        if new.all():
+            x, z, coeffs = x[order], z[order], coeffs[order]
+        else:
+            starts = np.flatnonzero(np.concatenate(([True], new)))
+            segment = np.empty(len(order), dtype=np.intp)
+            segment[order] = np.cumsum(np.concatenate(([0], new)))
+            summed = np.zeros(len(starts), dtype=coeffs.dtype)
+            # ufunc.at adds in index order: each sum runs in row order.  An
+            # overflow is reported below as a non-finite coefficient.
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.add.at(summed, segment, coeffs)
+            first = order[starts]  # a stable sort puts the first occurrence first
+            x, z, coeffs = x[first], z[first], summed
+    return _finish(n, x, z, coeffs, tolerance)
+
+
+def _finish(n: int, x: np.ndarray, z: np.ndarray, coeffs: np.ndarray, tolerance: float):
+    """Canonical rows with |c| <= tolerance dropped; raises ValueError on a non-finite one."""
+    finite = np.isfinite(coeffs)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"non-finite coefficient for {format_labels(x[i : i + 1], z[i : i + 1], n)[0]}")
+    keep = np.abs(coeffs) > tolerance
+    if not keep.all():
+        x, z, coeffs = x[keep], z[keep], coeffs[keep]
+    return x, z, coeffs
+
+
+def _ycount(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Number of Y sites per row, |x & z|."""
+    return np.bitwise_count(x & z).sum(axis=-1, dtype=np.int64)
+
+
+class Hamiltonian:
+    """Canonical real-weighted sum of Pauli strings, stored as columns.
+
+    ``x`` and ``z`` are read-only ``uint64[T, W]`` mask columns and
+    ``coeffs`` the read-only ``float64[T]`` coefficients, in canonical
+    label order.  Each string appears at most once and no stored
+    coefficient has magnitude <= ``prune_tolerance``.  Because the Pauli
+    strings form an orthogonal operator basis, this decomposition is
+    unique, which makes the Pauli 1-norm below a plain coefficient sum.
+
+    ``Hamiltonian(n, {PauliString: coeff})`` builds one from a term map;
+    ``terms`` gives that map back, read-only, built on first use.
+    Instances are immutable.
+    """
+
+    __slots__ = ("n", "x", "z", "coeffs", "prune_tolerance", "_terms")
+
+    def __init__(
+        self,
+        n: int,
+        terms: Mapping[PauliString, float],
+        prune_tolerance: float = DEFAULT_PRUNE_TOLERANCE,
+    ):
+        x, z, coeffs = _pair_columns(n, list(terms.items()))
+        self._set(n, *_canonical(n, x, z, coeffs, prune_tolerance), prune_tolerance)
+
+    def _set(self, n, x, z, coeffs, prune_tolerance) -> None:
+        for column in (x, z, coeffs):
+            column.flags.writeable = False
+        for name, value in (
+            ("n", n), ("x", x), ("z", z), ("coeffs", coeffs),
+            ("prune_tolerance", prune_tolerance), ("_terms", None),
+        ):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _of(cls, n, x, z, coeffs, prune_tolerance) -> "Hamiltonian":
+        """Wrap columns that are already canonical."""
+        h = object.__new__(cls)
+        h._set(n, x, z, coeffs, prune_tolerance)
+        return h
+
+    @classmethod
+    def _build(cls, n, x, z, coeffs, prune_tolerance) -> "Hamiltonian":
+        return cls._of(n, *_canonical(n, x, z, coeffs, prune_tolerance), prune_tolerance)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Hamiltonian is immutable; cannot set {name!r}")
+
+    @classmethod
+    def from_columns(
+        cls,
+        n: int,
+        x,
+        z,
+        coeffs,
+        prune_tolerance: float = DEFAULT_PRUNE_TOLERANCE,
+    ) -> "Hamiltonian":
+        """Build from mask columns (``uint64[T, W]``) and coefficients.
+
+        Rows may come in any order; repeated strings merge by summation in
+        row order.  The columns are copied, so the caller's arrays stay
+        writable.
+        """
+        if n < 1:
+            raise ValueError(f"qubit count must be >= 1, got {n}")
+        w = _words(n)
+        x = np.array(x, dtype=np.uint64).reshape(-1, w)
+        z = np.array(z, dtype=np.uint64).reshape(-1, w)
+        coeffs = np.array(coeffs, dtype=float).reshape(-1)
+        if not len(x) == len(z) == len(coeffs):
+            raise ValueError(f"column lengths differ: {len(x)}, {len(z)}, {len(coeffs)}")
+        if n % 64 and len(x) and ((x[:, -1] | z[:, -1]) >> (n % 64)).any():
+            raise ValueError(f"mask out of range for n={n}")
+        return cls._build(n, x, z, coeffs, prune_tolerance)
+
+    @classmethod
+    def from_pairs(
+        cls,
+        n: int,
+        pairs: Iterable[tuple[PauliString, float]],
+        prune_tolerance: float = DEFAULT_PRUNE_TOLERANCE,
+    ) -> "Hamiltonian":
+        """Build from (string, coefficient) pairs, merging duplicates by summation."""
+        return cls._build(n, *_pair_columns(n, list(pairs)), prune_tolerance)
+
+    @classmethod
+    def from_labels(
+        cls,
+        labels: Mapping[str, float],
+        prune_tolerance: float = DEFAULT_PRUNE_TOLERANCE,
+    ) -> "Hamiltonian":
+        """Build from a {label: coefficient} mapping, e.g. {"XX": 1.0, "ZZ": 1.0}."""
+        if not labels:
+            raise ValueError("cannot infer qubit count from an empty label map")
+        names = list(labels)
+        n = len(names[0])
+        if n < 1:
+            raise PauliParseError("empty Pauli label")
+        x, z = parse_labels(names, n)
+        coeffs = np.array([float(c) for c in labels.values()])
+        return cls._build(n, x, z, coeffs, prune_tolerance)
+
+    @classmethod
+    def identity(cls, n: int, coeff: float = 1.0) -> "Hamiltonian":
+        zero = np.zeros((1, _words(n)), dtype=np.uint64)
+        return cls.from_columns(n, zero, zero, [coeff])
+
+    @property
+    def num_terms(self) -> int:
+        return len(self.coeffs)
+
+    def is_zero(self) -> bool:
+        return self.num_terms == 0
+
+    def pauli(self, i: int) -> PauliString:
+        """Term i (canonical order) as a PauliString."""
+        return PauliString(self.n, _unpack(self.x[i]), _unpack(self.z[i]))
+
+    def labels(self) -> list[str]:
+        """Term labels in canonical order."""
+        return format_labels(self.x, self.z, self.n)
+
+    @property
+    def terms(self) -> Mapping[PauliString, float]:
+        """Read-only {PauliString: coefficient} map in canonical order."""
+        if self._terms is None:
+            paulis = (self.pauli(i) for i in range(self.num_terms))
+            terms = MappingProxyType(dict(zip(paulis, self.coeffs.tolist())))
+            object.__setattr__(self, "_terms", terms)
+        return self._terms
+
+    def coefficient(self, p: PauliString) -> float:
+        return self.terms.get(p, 0.0)
+
+    def __eq__(self, other):
+        if not isinstance(other, Hamiltonian):
+            return NotImplemented
+        return (
+            self.n == other.n
+            and self.prune_tolerance == other.prune_tolerance
+            and np.array_equal(self.x, other.x)
+            and np.array_equal(self.z, other.z)
+            and np.array_equal(self.coeffs, other.coeffs)
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Hamiltonian(n={self.n}, terms={self.num_terms})"
+
+
+def _pair_columns(n: int, pairs: list[tuple[PauliString, float]]):
+    """Mask and coefficient columns of (PauliString, coefficient) pairs."""
+    if n < 1:
+        raise ValueError(f"qubit count must be >= 1, got {n}")
+    for p, _ in pairs:
+        if p.n != n:
+            raise DimensionMismatchError(f"term {p.label} has {p.n} qubits, expected {n}")
+    x = _pack([p.x_mask for p, _ in pairs], n)
+    z = _pack([p.z_mask for p, _ in pairs], n)
+    return x, z, np.array([float(c) for _, c in pairs])
+
+
 def _require_same_n(p: PauliString, q: PauliString) -> None:
     if p.n != q.n:
         raise DimensionMismatchError(f"qubit counts differ: {p.n} vs {q.n}")
@@ -192,170 +537,41 @@ def commutes(p: PauliString, q: PauliString) -> bool:
     return ((p.x_mask & q.z_mask) ^ (p.z_mask & q.x_mask)).bit_count() % 2 == 0
 
 
-def _merged(
-    pairs: Iterable[tuple[PauliString, complex]], tolerance: float
-) -> dict[PauliString, complex]:
-    acc: dict[PauliString, complex] = {}
-    for pauli, coeff in pairs:
-        acc[pauli] = acc.get(pauli, 0.0) + coeff
-    return {p: c for p, c in acc.items() if abs(c) > tolerance}
-
-
-@dataclass(frozen=True)
-class Hamiltonian:
-    """Canonical real-weighted sum of Pauli strings.
-
-    The term map is canonical: each string appears at most once and no
-    stored coefficient has magnitude <= ``prune_tolerance``.  Because the
-    Pauli strings form an orthogonal operator basis, this decomposition is
-    unique, which makes the Pauli 1-norm below a plain coefficient sum.
-
-    Instances are immutable; do not mutate ``terms`` after construction.
-    """
-
-    n: int
-    terms: Mapping[PauliString, float]
-    prune_tolerance: float = DEFAULT_PRUNE_TOLERANCE
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"qubit count must be >= 1, got {self.n}")
-        clean: dict[PauliString, float] = {}
-        for pauli, coeff in self.terms.items():
-            if pauli.n != self.n:
-                raise DimensionMismatchError(
-                    f"term {pauli.label} has {pauli.n} qubits, expected {self.n}"
-                )
-            c = float(coeff)
-            if not math.isfinite(c):
-                raise ValueError(f"non-finite coefficient for {pauli.label}")
-            if abs(c) > self.prune_tolerance:
-                clean[pauli] = c
-        object.__setattr__(self, "terms", clean)
-
-    @classmethod
-    def from_pairs(
-        cls,
-        n: int,
-        pairs: Iterable[tuple[PauliString, float]],
-        prune_tolerance: float = DEFAULT_PRUNE_TOLERANCE,
-    ) -> "Hamiltonian":
-        """Build from (string, coefficient) pairs, merging duplicates by summation."""
-        return cls(n, _merged(pairs, prune_tolerance), prune_tolerance)
-
-    @classmethod
-    def from_labels(
-        cls,
-        labels: Mapping[str, float],
-        prune_tolerance: float = DEFAULT_PRUNE_TOLERANCE,
-    ) -> "Hamiltonian":
-        """Build from a {label: coefficient} mapping, e.g. {"XX": 1.0, "ZZ": 1.0}."""
-        if not labels:
-            raise ValueError("cannot infer qubit count from an empty label map")
-        n = len(next(iter(labels)))
-        return cls.from_pairs(
-            n, ((parse_pauli(s), c) for s, c in labels.items()), prune_tolerance
-        )
-
-    @classmethod
-    def identity(cls, n: int, coeff: float = 1.0) -> "Hamiltonian":
-        return cls(n, {PauliString.identity(n): coeff})
-
-    @property
-    def num_terms(self) -> int:
-        return len(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, p: PauliString) -> float:
-        return self.terms.get(p, 0.0)
-
-    def __repr__(self) -> str:
-        return f"Hamiltonian(n={self.n}, terms={self.num_terms})"
-
-
-@dataclass(frozen=True)
-class PauliOperator:
-    """Complex-weighted Pauli sum; intermediate results of operator products.
-
-    Hermitian iff every coefficient is (numerically) real; use
-    :meth:`to_hamiltonian` to restore the real-weighted form once the
-    imaginary parts have cancelled.
-    """
-
-    n: int
-    terms: Mapping[PauliString, complex]
-    prune_tolerance: float = DEFAULT_PRUNE_TOLERANCE
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"qubit count must be >= 1, got {self.n}")
-        clean: dict[PauliString, complex] = {}
-        for pauli, coeff in self.terms.items():
-            if pauli.n != self.n:
-                raise DimensionMismatchError(
-                    f"term {pauli.label} has {pauli.n} qubits, expected {self.n}"
-                )
-            c = complex(coeff)
-            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                raise ValueError(f"non-finite coefficient for {pauli.label}")
-            if abs(c) > self.prune_tolerance:
-                clean[pauli] = c
-        object.__setattr__(self, "terms", clean)
-
-    @classmethod
-    def from_hamiltonian(cls, h: Hamiltonian) -> "PauliOperator":
-        return cls(h.n, {p: complex(c) for p, c in h.terms.items()}, h.prune_tolerance)
-
-    def max_imag(self) -> float:
-        return max((abs(c.imag) for c in self.terms.values()), default=0.0)
-
-    def is_hermitian(self, tolerance: float = 1e-10) -> bool:
-        return self.max_imag() <= tolerance
-
-    def to_hamiltonian(self, imag_tolerance: float = 1e-10) -> Hamiltonian:
-        """Drop imaginary residue; raise if any exceeds imag_tolerance."""
-        residue = self.max_imag()
-        if residue > imag_tolerance:
-            raise HermiticityError(
-                f"imaginary residue {residue:.3e} exceeds {imag_tolerance:.3e}"
-            )
-        return Hamiltonian(
-            self.n, {p: c.real for p, c in self.terms.items()}, self.prune_tolerance
-        )
-
-
 def sorted_terms(h: Hamiltonian) -> list[tuple[PauliString, float]]:
     """Terms in canonical (label-sorted) order; the order used for files and sampling."""
-    return sorted(h.terms.items(), key=lambda item: item[0].label)
+    return list(h.terms.items())
 
 
 def pauli_1_norm(h: Hamiltonian) -> float:
     """Sum of absolute coefficients over the canonical decomposition.
 
     Always an upper bound on the operator norm; zero iff h is the zero
-    operator.
+    operator.  Summed left to right in canonical order.
     """
-    return float(sum(abs(c) for c in h.terms.values()))
+    return float(sum(np.abs(h.coeffs).tolist()))
 
 
-def term_distribution(h: Hamiltonian):
+def term_distribution(h: Hamiltonian) -> tuple[np.ndarray, np.ndarray]:
     """Importance distribution over terms: Pr[P] = |beta_P| / sum |beta_P|.
 
-    Returns (paulis, signs, probs) in canonical order.  Raises ValueError
-    on the zero Hamiltonian.
+    Returns (signs, probs), entry i for term i in canonical order
+    (``h.pauli(i)``).  Raises ValueError on the zero Hamiltonian.
     """
-    items = sorted_terms(h)
-    if not items:
+    if h.is_zero():
         raise ValueError("zero Hamiltonian has no term distribution")
-    coeffs = np.array([c for _, c in items])
-    weights = np.abs(coeffs)
-    return (
-        [p for p, _ in items],
-        np.sign(coeffs).astype(int),
-        weights / weights.sum(),
-    )
+    weights = np.abs(h.coeffs)
+    return np.sign(h.coeffs).astype(int), weights / weights.sum()
+
+
+def _shifted_into(masks: np.ndarray, shift: int, w: int) -> np.ndarray:
+    """uint64[T, w] columns of masks moved up by ``shift`` qubits."""
+    out = np.zeros((len(masks), w), dtype=np.uint64)
+    word, bit = divmod(shift, 64)
+    for k in range(masks.shape[1]):
+        out[:, word + k] |= masks[:, k] << bit
+        if bit and word + k + 1 < w:
+            out[:, word + k + 1] |= masks[:, k] >> (64 - bit)
+    return out
 
 
 def tensor(
@@ -365,7 +581,8 @@ def tensor(
 
     Qubits of ``a`` keep their positions; qubits of ``b`` are shifted up by
     ``a.n``.  Concatenation of labels is injective, so the Pauli 1-norm is
-    exactly multiplicative.
+    exactly multiplicative, and it preserves order: the outer product of
+    two canonical term lists is canonical without a sort.
 
     Raises:
         CapacityError: the product would hold more than ``term_cap`` terms.
@@ -375,15 +592,16 @@ def tensor(
     if count > cap:
         raise CapacityError(f"tensor product needs {count} terms, cap is {cap}")
     n = a.n + b.n
+    w = _words(n)
     tol = max(a.prune_tolerance, b.prune_tolerance)
-    out: dict[PauliString, float] = {}
-    for pa, ca in a.terms.items():
-        for pb, cb in b.terms.items():
-            key = PauliString(
-                n, pa.x_mask | (pb.x_mask << a.n), pa.z_mask | (pb.z_mask << a.n)
-            )
-            out[key] = ca * cb
-    return Hamiltonian(n, out, tol)
+    columns = []
+    for ma, mb in ((a.x, b.x), (a.z, b.z)):
+        out = np.zeros((a.num_terms, b.num_terms, w), dtype=np.uint64)
+        out[:, :, : ma.shape[1]] = ma[:, None, :]
+        out |= _shifted_into(mb, a.n, w)[None, :, :]
+        columns.append(out.reshape(count, w))
+    coeffs = np.multiply.outer(a.coeffs, b.coeffs).ravel()
+    return Hamiltonian._of(n, *_finish(n, *columns, coeffs, tol), tol)
 
 
 def tensor_power(a: Hamiltonian, k: int, *, term_cap: int | None = None) -> Hamiltonian:
@@ -418,32 +636,49 @@ def linear_combine(
         if prune_tolerance is None
         else prune_tolerance
     )
-    pairs = (
-        (p, c * coeff)
-        for coeff, h in coeff_pairs
-        for p, c in h.terms.items()
-    )
-    return Hamiltonian.from_pairs(n, pairs, tol)
+    x = np.concatenate([h.x for _, h in coeff_pairs])
+    z = np.concatenate([h.z for _, h in coeff_pairs])
+    coeffs = np.concatenate([h.coeffs * coeff for coeff, h in coeff_pairs])
+    return Hamiltonian._build(n, x, z, coeffs, tol)
 
 
-def _operator_product(
-    a: Mapping[PauliString, complex],
-    b: Mapping[PauliString, complex],
-    n: int,
-    cap: int,
-    tolerance: float,
-) -> dict[PauliString, complex]:
+def _operator_product(a, b, n: int, cap: int, tolerance: float):
+    """Canonical columns of the product of two complex-weighted Pauli sums.
+
+    ``a`` and ``b`` are (x, z, Y counts, coefficients).  Pair (i, j) is
+    P_i Q_j = i^e R with the masks of R the XOR of the inputs and e the
+    phase exponent of :func:`pauli_mul`, all pairs at once.
+    """
+    ax, az, ay, ac = a
+    bx, bz, by, bc = b
+    count = len(ac) * len(bc)
     # Pairwise products bound the work done, so the cap applies pre-merge.
-    if len(a) * len(b) > cap:
+    if count > cap:
         raise CapacityError(
-            f"operator product needs {len(a) * len(b)} pairwise terms, cap is {cap}"
+            f"operator product needs {count} pairwise terms, cap is {cap}"
         )
-    out: dict[PauliString, complex] = {}
-    for pa, ca in a.items():
-        for pb, cb in b.items():
-            phase, r = pauli_mul(pa, pb)
-            out[r] = out.get(r, 0.0) + ca * cb * phase.value
-    return {p: c for p, c in out.items() if abs(c) > tolerance}
+    w = ax.shape[1]
+    x = (ax[:, None, :] ^ bx[None, :, :]).reshape(count, w)
+    z = (az[:, None, :] ^ bz[None, :, :]).reshape(count, w)
+    cross = np.bitwise_count(az[:, None, :] & bx[None, :, :]).sum(axis=-1, dtype=np.int64)
+    e = (ay[:, None] + by[None, :] + 2 * cross).reshape(count) - _ycount(x, z)
+    coeffs = np.multiply.outer(ac, bc).reshape(count) * _PHASE_ARRAY[e & 3]
+    x, z, coeffs = _canonical(n, x, z, coeffs, tolerance)
+    return x, z, _ycount(x, z), coeffs
+
+
+def _real_part(coeffs: np.ndarray, imag_tolerance: float) -> np.ndarray:
+    """Real parts of coefficients whose imaginary parts must have cancelled.
+
+    Raises:
+        HermiticityError: an imaginary part exceeds ``imag_tolerance``.
+    """
+    residue = float(np.abs(coeffs.imag).max(initial=0.0))
+    if residue > imag_tolerance:
+        raise HermiticityError(
+            f"imaginary residue {residue:.3e} exceeds {imag_tolerance:.3e}"
+        )
+    return np.ascontiguousarray(coeffs.real)
 
 
 def apply_polynomial(
@@ -464,16 +699,21 @@ def apply_polynomial(
         raise ValueError("polynomial needs at least the constant coefficient")
     cap = DEFAULT_TERM_CAP if term_cap is None else term_cap
     tol = h.prune_tolerance
-    base = {p: complex(c) for p, c in h.terms.items()}
-    power: dict[PauliString, complex] = {PauliString.identity(h.n): 1.0 + 0.0j}
-    acc: dict[PauliString, complex] = {}
+    base = (h.x, h.z, _ycount(h.x, h.z), h.coeffs.astype(complex))
+    zero = np.zeros((1, h.x.shape[1]), dtype=np.uint64)
+    power = (zero, zero, np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex))
+    parts = []
     for j, cj in enumerate(poly):
         if j > 0:
             power = _operator_product(power, base, h.n, cap, tol)
         if cj != 0.0:
-            for p, c in power.items():
-                acc[p] = acc.get(p, 0.0) + cj * c
-    return PauliOperator(h.n, acc, tol).to_hamiltonian(imag_tolerance)
+            parts.append((power[0], power[1], cj * power[3]))
+    if not parts:
+        return Hamiltonian.from_columns(h.n, zero[:0], zero[:0], [], tol)
+    x, z, coeffs = _canonical(
+        h.n, *(np.concatenate([part[i] for part in parts]) for i in range(3)), tol
+    )
+    return Hamiltonian._build(h.n, x, z, _real_part(coeffs, imag_tolerance), tol)
 
 
 def hadamard_power(n: int, *, term_cap: int | None = None) -> Hamiltonian:
@@ -488,23 +728,19 @@ def hadamard_power(n: int, *, term_cap: int | None = None) -> Hamiltonian:
     if 2**n > cap:
         raise CapacityError(f"hadamard_power(n={n}) needs {2**n} terms, cap is {cap}")
     coeff = 2.0 ** (-n / 2.0)
-    full = (1 << n) - 1
-    terms = {
-        PauliString(n, full ^ zbits, zbits): coeff for zbits in range(1 << n)
-    }
-    return Hamiltonian(n, terms)
+    z = np.arange(1 << n, dtype=np.uint64).reshape(-1, 1)  # 2^n <= cap: one word
+    x = np.uint64((1 << n) - 1) ^ z
+    return Hamiltonian.from_columns(n, x, z, np.full(1 << n, coeff))
 
 
 def xxzz_chain(n: int) -> Hamiltonian:
     """Open chain sum_i (X_i X_{i+1} + Z_i Z_{i+1}); 2(n-1) unit terms."""
     if n < 2:
         raise ValueError(f"xxzz_chain needs n >= 2, got {n}")
-    terms: dict[PauliString, float] = {}
-    for i in range(n - 1):
-        bond = (1 << i) | (1 << (i + 1))
-        terms[PauliString(n, bond, 0)] = 1.0
-        terms[PauliString(n, 0, bond)] = 1.0
-    return Hamiltonian(n, terms)
+    bonds = [(1 << i) | (1 << (i + 1)) for i in range(n - 1)]
+    x = _pack([m for bond in bonds for m in (bond, 0)], n)
+    z = _pack([m for bond in bonds for m in (0, bond)], n)
+    return Hamiltonian.from_columns(n, x, z, np.ones(2 * (n - 1)))
 
 
 def random_local(n: int, ell: int, m: int, seed: int) -> Hamiltonian:
@@ -518,7 +754,7 @@ def random_local(n: int, ell: int, m: int, seed: int) -> Hamiltonian:
     if m < 1:
         raise ValueError(f"term count must be >= 1, got {m}")
     rng = np.random.default_rng(seed)
-    pairs = []
+    xs, zs, coeffs = [], [], []
     for _ in range(m):
         sites = rng.choice(n, size=ell, replace=False)
         codes = rng.integers(1, 4, size=ell)  # 1=X, 2=Y, 3=Z
@@ -528,8 +764,10 @@ def random_local(n: int, ell: int, m: int, seed: int) -> Hamiltonian:
                 x |= 1 << int(site)
             if code != 1:
                 z |= 1 << int(site)
-        pairs.append((PauliString(n, x, z), rng.uniform(-1.0, 1.0)))
-    return Hamiltonian.from_pairs(n, pairs)
+        xs.append(x)
+        zs.append(z)
+        coeffs.append(rng.uniform(-1.0, 1.0))
+    return Hamiltonian.from_columns(n, _pack(xs, n), _pack(zs, n), coeffs)
 
 
 MODEL_KINDS = ("hadamard_power", "xxzz_chain", "random_local")

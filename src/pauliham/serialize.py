@@ -23,7 +23,13 @@ from typing import Any
 
 import numpy as np
 
-from .paulis import Hamiltonian, PauliParseError, parse_pauli, sorted_terms
+from .paulis import (
+    DimensionMismatchError,
+    Hamiltonian,
+    PauliParseError,
+    parse_labels,
+    parse_pauli,
+)
 from .spectra import StateVector
 
 STATE_NORM_TOLERANCE = 1e-6
@@ -48,8 +54,32 @@ def _require_int(obj: Any, field: str, path) -> int:
     return value
 
 
+def _check_entry(path, i: int, entry: Any, n: int) -> None:
+    """Raise the SchemaError that names what is wrong with terms[i], if anything."""
+    where = f"{path}: terms[{i}]"
+    if not isinstance(entry, dict):
+        raise SchemaError(f"{where} must be an object")
+    label = entry.get("pauli")
+    if not isinstance(label, str):
+        raise SchemaError(f"{where}.pauli must be a string")
+    coeff = entry.get("coeff")
+    if isinstance(coeff, bool) or not isinstance(coeff, (int, float)):
+        raise SchemaError(f"{where}.coeff must be a real number")
+    if not math.isfinite(coeff):
+        raise SchemaError(f"{where}.coeff is non-finite: {coeff}")
+    try:
+        pauli = parse_pauli(label)
+    except PauliParseError as exc:
+        raise SchemaError(f"{where}.pauli: {exc}") from exc
+    if pauli.n != n:
+        raise SchemaError(f"{where}.pauli has length {pauli.n}, expected n={n}")
+
+
 def load_hamiltonian(path: "str | Path") -> Hamiltonian:
     """Load and canonicalize a Hamiltonian JSON file.
+
+    Labels are parsed all at once (``parse_labels``); only a file with a
+    bad entry is walked term by term, to name the first one.
 
     Raises:
         SchemaError: missing/ill-typed fields, inconsistent string lengths,
@@ -65,48 +95,80 @@ def load_hamiltonian(path: "str | Path") -> Hamiltonian:
     entries = doc.get("terms")
     if not isinstance(entries, list):
         raise SchemaError(f"{path}: field 'terms' must be a list")
-    pairs = []
-    for i, entry in enumerate(entries):
-        where = f"{path}: terms[{i}]"
-        if not isinstance(entry, dict):
-            raise SchemaError(f"{where} must be an object")
-        label = entry.get("pauli")
-        if not isinstance(label, str):
-            raise SchemaError(f"{where}.pauli must be a string")
-        coeff = entry.get("coeff")
-        if isinstance(coeff, bool) or not isinstance(coeff, (int, float)):
-            raise SchemaError(f"{where}.coeff must be a real number")
-        if not math.isfinite(coeff):
-            raise SchemaError(f"{where}.coeff is non-finite: {coeff}")
-        try:
-            pauli = parse_pauli(label)
-        except PauliParseError as exc:
-            raise SchemaError(f"{where}.pauli: {exc}") from exc
-        if pauli.n != n:
-            raise SchemaError(
-                f"{where}.pauli has length {pauli.n}, expected n={n}"
-            )
-        pairs.append((pauli, float(coeff)))
-    return Hamiltonian.from_pairs(n, pairs)
+    labels, coeffs = [], []
+    for entry in entries:
+        label = entry.get("pauli") if isinstance(entry, dict) else None
+        coeff = entry.get("coeff") if isinstance(entry, dict) else None
+        if (
+            not isinstance(label, str)
+            or isinstance(coeff, bool)
+            or not isinstance(coeff, (int, float))
+            or not math.isfinite(coeff)
+        ):
+            break
+        labels.append(label)
+        coeffs.append(float(coeff))
+    try:
+        x, z = parse_labels(labels, n) if len(labels) == len(entries) else (None, None)
+    except (PauliParseError, DimensionMismatchError):
+        x = None
+    if x is None:
+        for i, entry in enumerate(entries):
+            _check_entry(path, i, entry, n)
+    return Hamiltonian.from_columns(n, x, z, coeffs)
 
 
 def hamiltonian_to_jsonable(h: Hamiltonian) -> dict:
     return {
         "n": h.n,
-        "terms": [
-            {"pauli": p.label, "coeff": c} for p, c in sorted_terms(h)
-        ],
+        "terms": [{"pauli": p, "coeff": c} for p, c in zip(h.labels(), h.coeffs.tolist())],
     }
+
+
+def _terms_json(h: Hamiltonian) -> str:
+    """The "terms" list as json.dumps(indent=2) writes it one level down."""
+    if h.is_zero():
+        return "[]"
+    bits, index = np.unique(h.coeffs.view(np.int64), return_inverse=True)
+    if 2 * len(bits) <= len(index):
+        # Expanded operators repeat few distinct coefficients: format each
+        # one (by its bits, so 0.0 and -0.0 stay apart) once.
+        distinct = [repr(c) for c in bits.view(np.float64).tolist()]
+        reprs = [distinct[i] for i in index.tolist()]
+    else:
+        reprs = map(repr, h.coeffs.tolist())
+    items = ",\n".join(
+        f'    {{\n      "coeff": {c},\n      "pauli": "{p}"\n    }}'
+        for p, c in zip(h.labels(), reprs)
+    )
+    return f"[\n{items}\n  ]"
+
+
+def hamiltonian_json(h: Hamiltonian, extra: dict | None = None) -> str:
+    """Text of the Hamiltonian document, plus ``extra`` top-level keys.
+
+    Byte for byte ``json.dumps(doc, indent=2, sort_keys=True)`` of
+    ``hamiltonian_to_jsonable(h)`` updated with ``extra``, but the term
+    list is written straight from the label and coefficient columns
+    (unless ``extra`` replaces it).
+    """
+    extra = extra or {}
+    doc = {"n": h.n, "terms": None, **extra}
+    fields = []
+    for key in sorted(doc):
+        if key == "terms" and "terms" not in extra:
+            value = _terms_json(h)
+        else:
+            # one level down: every line after the first moves in by two spaces
+            value = json.dumps(doc[key], indent=2, sort_keys=True).replace("\n", "\n  ")
+        fields.append(f"  {json.dumps(key)}: {value}")
+    return "{\n" + ",\n".join(fields) + "\n}"
 
 
 def save_hamiltonian(h: Hamiltonian, path: "str | Path", *, extra: dict | None = None) -> None:
     """Write a Hamiltonian in canonical term order; deterministic bytes."""
-    doc = hamiltonian_to_jsonable(h)
-    if extra:
-        doc.update(extra)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(hamiltonian_json(h, extra) + "\n")
 
 
 def load_state(path: "str | Path") -> StateVector:

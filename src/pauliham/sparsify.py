@@ -96,21 +96,17 @@ def sample_restriction(
     if m < 1:
         raise ValueError(f"sample count m must be >= 1, got {m}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    paulis, signs, probs = term_distribution(h)  # raises on the zero Hamiltonian
+    signs, probs = term_distribution(h)  # raises on the zero Hamiltonian
     lam = pauli_1_norm(h)
     cum = np.cumsum(probs)
     cum[-1] = 1.0
     idx = np.minimum(
-        np.searchsorted(cum, rng.random(m), side="right"), len(paulis) - 1
+        np.searchsorted(cum, rng.random(m), side="right"), len(probs) - 1
     )
-    counts = np.bincount(idx, minlength=len(paulis))
-    scale = lam / m
-    pairs = (
-        (p, float(counts[i]) * scale * float(signs[i]))
-        for i, p in enumerate(paulis)
-        if counts[i] > 0
-    )
-    return Hamiltonian.from_pairs(h.n, pairs, h.prune_tolerance)
+    counts = np.bincount(idx, minlength=len(probs))
+    picked = np.flatnonzero(counts)
+    coeffs = counts[picked].astype(float) * (lam / m) * signs[picked]
+    return Hamiltonian.from_columns(h.n, h.x[picked], h.z[picked], coeffs, h.prune_tolerance)
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:

@@ -23,6 +23,7 @@ diagonal stays real.  The kernel never materialises a matrix.
 bytes, which is what :func:`to_dense` needs at n = limit.  It bounds
 ``to_dense`` itself, and caps the solver's Krylov basis and its kept
 diagonals; a basis that fills up restarts from its extremal Ritz vectors.
+The solver refuses n > 2 * limit, where one 2^n vector alone is over it.
 ``to_dense`` is the brute-force oracle the tests check the solver against,
 and the sparsification experiment's exact deviation.
 """
@@ -137,15 +138,23 @@ class SpectralResult:
         return self
 
 
-def _term_action(p: PauliString, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Column permutation and per-column values of a single Pauli string.
+def _term_action(x: int, z: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column permutation and per-column values of the Pauli string with masks x, z.
 
     P|i> = phase * (-1)^<z,i> |i ^ x> with phase = i^|x & z|.
     """
     idx = np.arange(dim, dtype=np.int64)
-    signs = 1.0 - 2.0 * (np.bitwise_count(idx & np.int64(p.z_mask)) & 1)
-    phase = _PHASES[(p.x_mask & p.z_mask).bit_count() % 4]
-    return idx ^ np.int64(p.x_mask), phase * signs
+    signs = 1.0 - 2.0 * (np.bitwise_count(idx & np.int64(z)) & 1)
+    phase = _PHASES[(x & z).bit_count() % 4]
+    return idx ^ np.int64(x), phase * signs
+
+
+def _term_columns(h: Hamiltonian):
+    """(x, z, coeff) of every term as Python numbers, in canonical order.
+
+    A state vector needs n < 64, so one mask word holds every string.
+    """
+    return zip(h.x[:, 0].tolist(), h.z[:, 0].tolist(), h.coeffs.tolist())
 
 
 def _dense_budget(limit: int) -> int:
@@ -165,8 +174,8 @@ def to_dense(h: Hamiltonian, *, dense_limit: int | None = None) -> np.ndarray:
     dim = 1 << h.n
     idx = np.arange(dim, dtype=np.int64)
     mat = np.zeros((dim, dim), dtype=np.complex128)
-    for p, c in h.terms.items():
-        rows, values = _term_action(p, dim)
+    for x, z, c in _term_columns(h):
+        rows, values = _term_action(x, z, dim)
         mat[rows, idx] += c * values
     return mat
 
@@ -183,10 +192,10 @@ class _GroupedKernel:
     def __init__(self, h: Hamiltonian, keep_bytes: int = 0):
         dim = 1 << h.n
         groups: dict[tuple[int, int], list[tuple[int, float]]] = {}
-        for p, c in h.terms.items():
-            y = (p.x_mask & p.z_mask).bit_count()
+        for x, z, c in _term_columns(h):
+            y = (x & z).bit_count()
             # (-i)^y = (-1)^(y // 2) for even y, and that times -i for odd y
-            groups.setdefault((p.x_mask, y & 1), []).append((p.z_mask, -c if y & 2 else c))
+            groups.setdefault((x, y & 1), []).append((z, -c if y & 2 else c))
         self.dim = dim
         self._groups = sorted(groups.items())
         self._index = np.arange(dim, dtype=np.intp)
@@ -242,7 +251,11 @@ def pauli_expectation(p: PauliString, psi: StateVector) -> float:
     """<psi|P|psi> for a single Pauli string; always real in [-1, 1]."""
     if p.n != psi.n:
         raise DimensionMismatchError(f"qubit counts differ: {p.n} vs {psi.n}")
-    cols, values = _term_action(p, psi.dim)
+    return _mask_expectation(p.x_mask, p.z_mask, psi)
+
+
+def _mask_expectation(x: int, z: int, psi: StateVector) -> float:
+    cols, values = _term_action(x, z, psi.dim)
     val = complex(np.vdot(psi.amplitudes, (values * psi.amplitudes)[cols]))
     if abs(val.imag) > 1e-10:
         raise ArithmeticError(f"Pauli expectation has imaginary residue {val.imag:.3e}")
@@ -253,7 +266,7 @@ def expectation(h: Hamiltonian, psi: StateVector) -> float:
     """Energy <psi|H|psi>, accumulated term-wise as sum_P beta_P <P>."""
     if h.n != psi.n:
         raise DimensionMismatchError(f"qubit counts differ: {h.n} vs {psi.n}")
-    return float(sum(c * pauli_expectation(p, psi) for p, c in h.terms.items()))
+    return float(sum(c * _mask_expectation(x, z, psi) for x, z, c in _term_columns(h)))
 
 
 class _KrylovBasis:
@@ -321,6 +334,10 @@ def extremal_eigs(
     matvecs.  The basis lives within the ``to_dense`` byte budget of
     ``dense_limit``; when it is full the iteration restarts from the
     normalised sum of the two extremal Ritz vectors.
+
+    Raises:
+        CapacityError: n > 2 * dense_limit, where one vector alone exceeds
+            the budget.
     """
     if h.is_zero():
         raise ValueError("extremal_eigs needs a nonzero Hamiltonian")
@@ -328,6 +345,11 @@ def extremal_eigs(
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     limit = DEFAULT_DENSE_LIMIT if dense_limit is None else dense_limit
     budget = _dense_budget(limit)
+    if 16 << h.n > budget:
+        raise CapacityError(
+            f"eigensolver limited to n <= {2 * limit} (one 2^n vector within the "
+            f"dense budget of limit {limit}), got n={h.n}"
+        )
     dim = 1 << h.n
     kernel = _GroupedKernel(h, keep_bytes=budget)
     capacity = min(dim, max(_MIN_BASIS, budget // (16 * dim)))

@@ -192,8 +192,23 @@ class TestAmplify:
         assert out.n == 12
 
     def test_uncertifiable_norm_rejected(self):
-        h = Hamiltonian.from_labels({"X" * 6: 0.9, "Z" * 6: 0.9})
-        with pytest.raises(ValueError, match="assume_norm_ok"):
+        # n = 6 is beyond the dense limit 3 and ||H||_P1 > 1, so the
+        # eigensolver decides.  X and Z on qubit 0 anticommute:
+        # ||0.6 X + 0.6 Z|| = 0.6 sqrt(2) <= 1 < 1.2 = ||H||_P1.
+        accepted = Hamiltonian.from_labels({"XIIIII": 0.6, "ZIIIII": 0.6})
+        assert pauli_1_norm(accepted) > 1.0
+        out = amplify(accepted, 2, dense_limit=3)
+        assert out.n == 12 and out.num_terms == 9
+        # XXXXXX and ZZZZZZ commute, so ||H|| = 0.9 + 0.9 > 1.
+        refused = Hamiltonian.from_labels({"X" * 6: 0.9, "Z" * 6: 0.9})
+        with pytest.raises(ValueError, match="operator norm .* exceeds 1"):
+            amplify(refused, 2, dense_limit=3)
+
+    def test_norm_check_beyond_solver_budget_refused(self):
+        # one 2^7 vector exceeds the budget of limit 3 (n <= 6): refused
+        # before any solve, where the certificate ||H||_P1 <= 1 cannot help
+        h = Hamiltonian.from_labels({"XIIIIII": 0.6, "ZIIIIII": 0.6})
+        with pytest.raises(CapacityError, match="n <= 6"):
             amplify(h, 2, dense_limit=3)
 
     def test_capacity_cap(self):

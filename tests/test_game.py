@@ -237,3 +237,22 @@ class TestSimulate:
     def test_transcript_invariants_validated(self):
         with pytest.raises(ValueError):
             GameTranscript((), 10, 0.5, 0.9, 0.5, 0)  # std_error inconsistent
+
+
+def test_simulate_computes_each_expectation_once(monkeypatch, rng):
+    import pauliham.game as game
+
+    h = random_hamiltonian(rng, 4, max_terms=6)
+    psi = random_state(rng, 4)
+    seen = []
+
+    def counting(p, state):
+        seen.append(p)
+        return pauli_expectation(p, state)
+
+    monkeypatch.setattr(game, "pauli_expectation", counting)
+    transcript = simulate(h, psi, 500, seed=3)
+    assert len(seen) == h.num_terms
+    assert sorted(p.label for p in seen) == h.labels()
+    # the shared expectations still feed the closed-form/term-wise cross-check
+    assert transcript.exact_probability == accept_prob_exact(h, psi)

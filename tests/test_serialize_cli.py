@@ -314,6 +314,27 @@ class TestCli:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
 
+    def test_cli_import_does_not_load_test_dependencies(self):
+        # scipy and hypothesis are test extras (pyproject.toml), not runtime needs
+        import subprocess
+        import sys
+
+        code = (
+            "import sys, pauliham.cli; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'hypothesis'}))"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+    def test_norm_check_beyond_solver_budget_exits_3(self, tmp_path, capsys):
+        # ||H||_P1 = 1.2 > 1 at n = 40: a solve would need 2^40-entry vectors
+        h = tmp_path / "wide.json"
+        _write_ham(h, {"X" + "I" * 39: 0.6, "Z" + "I" * 39: 0.6})
+        out = tmp_path / "o.json"
+        assert main(["amplify", "--ham", str(h), "--k", "2", "--out", str(out)]) == 3
+        assert "got n=40" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_norm_precondition_is_input_error(self, tmp_path):
         h = tmp_path / "big.json"
         _write_ham(h, {"Z": 2.0})

@@ -219,6 +219,12 @@ class TestExtremalEigs:
         assert res.method == "iterative" and res.converged
         assert (res.lambda_max, res.lambda_min) == pytest.approx(_oracle(h), abs=1e-9)
 
+    def test_refuses_vectors_beyond_budget(self):
+        # limit 3 budgets 16 * 4^3 B: one vector of dim 2^6 fits, 2^7 does not
+        assert extremal_eigs(Hamiltonian.from_labels({"Z" * 6: 1.0}), dense_limit=3).converged
+        with pytest.raises(CapacityError, match="n <= 6.*got n=7"):
+            extremal_eigs(Hamiltonian.from_labels({"Z" * 7: 1.0}), dense_limit=3)
+
     def test_non_convergence_is_explicit(self, rng):
         h = random_hamiltonian(rng, 4, max_terms=5)
         res = extremal_eigs(h, tol=1e-14, max_iters=2)
