@@ -13,7 +13,10 @@ Randomness is counter-based for reproducibility: a simulation seeded with
 ``seed`` assigns shot i the Philox counter block i (4 uniform doubles, of
 which a round consumes two).  Workers splitting shots [a, b) therefore
 reproduce the sequential transcript bit for bit by starting their
-generator at ``Philox(key=seed).advance(a)``.
+generator at ``Philox(key=seed).advance(a)``.  ``simulate`` splits its own
+shots that way: it streams them in chunks of SHOT_CHUNK consecutive
+counter blocks, so a million-shot game needs one chunk's arrays, not a
+million shots' worth.
 """
 
 from __future__ import annotations
@@ -23,12 +26,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paulis import Hamiltonian, PauliString, pauli_1_norm, term_distribution
+from .paulis import (
+    Hamiltonian,
+    PauliString,
+    _TermDraw,
+    pauli_1_norm,
+    term_distribution,
+)
 from .spectra import StateVector, pauli_expectation
 
 # JSON reports and in-memory transcripts keep per-round records only up to
 # this many shots; aggregates are always exact.
 ROUND_RECORD_LIMIT = 10_000
+
+# simulate evaluates this many shots at a time; its working arrays hold
+# this many entries however many shots are asked for.
+SHOT_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -109,9 +122,7 @@ def _accept_prob(
 def sample_term(h: Hamiltonian, rng: np.random.Generator) -> tuple[PauliString, int]:
     """Draw one term with probability proportional to |beta_P|; one uniform consumed."""
     signs, probs = term_distribution(h)
-    cum = np.cumsum(probs)
-    cum[-1] = 1.0
-    i = min(int(np.searchsorted(cum, rng.random(), side="right")), len(probs) - 1)
+    i = int(_TermDraw(probs, 1)(rng.random()))
     return h.pauli(i), int(signs[i])
 
 
@@ -139,39 +150,54 @@ def simulate(
     """Seed-deterministic transcript of many rounds.
 
     Equivalent, bit for bit, to ``play_round(h, psi, shot_rng(seed, i))``
-    for i in range(shots); the rounds are evaluated vectorized.  Per-round
+    for i in range(shots).  The rounds are evaluated vectorized, SHOT_CHUNK
+    shots at a time: each chunk reads the next SHOT_CHUNK counter blocks of
+    the one ``Philox(key=seed)`` stream (the blocks ``shot_rng`` reaches by
+    ``advance``) and adds to an integer count of accepted rounds.  Per-round
     records are kept when ``record_rounds`` is true, or by default when
-    shots <= ROUND_RECORD_LIMIT.
+    shots <= ROUND_RECORD_LIMIT.  Working memory is O(SHOT_CHUNK + T + 2^n)
+    for T terms on n qubits, plus O(shots) for the records when kept.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     signs, probs = term_distribution(h)
-    cum = np.cumsum(probs)
-    cum[-1] = 1.0
     expectations = _expectations(h, psi)
     exact = _accept_prob(h, signs, probs, expectations)
-
-    uniforms = np.random.Generator(np.random.Philox(key=seed)).random(4 * shots)
-    uniforms = uniforms.reshape(shots, 4)
-    term_idx = np.minimum(
-        np.searchsorted(cum, uniforms[:, 0], side="right"), len(probs) - 1
-    )
-    p_plus = 0.5 * (1.0 + expectations[term_idx])
-    outcomes = np.where(uniforms[:, 1] < p_plus, 1, -1)
-    round_signs = signs[term_idx]
-    accepted = outcomes == round_signs
-
-    freq = float(accepted.mean())
     if record_rounds is None:
         record_rounds = shots <= ROUND_RECORD_LIMIT
+
+    draw = _TermDraw(probs, shots)
+    p_plus = 0.5 * (1.0 + expectations)
+    # A round is accepted iff its outcome bit (u < p_plus) equals its term's
+    # entry here: 1 for a positive coefficient, 0 for a negative one and 2,
+    # which no bit equals, for a zero one.
+    accepting_bit = np.where(signs == 0, 2, signs > 0).astype(np.int8)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    uniforms = np.empty((min(shots, SHOT_CHUNK), 4))
+    accepted_count = 0
+    chunks = []
+    for start in range(0, shots, SHOT_CHUNK):
+        u = rng.random(out=uniforms[: min(SHOT_CHUNK, shots - start)])
+        term_idx = draw(u[:, 0])
+        plus = u[:, 1] < p_plus[term_idx]
+        accepted = plus == accepting_bit[term_idx]
+        accepted_count += int(np.count_nonzero(accepted))
+        if record_rounds:
+            chunks.append((term_idx, plus, accepted))
+
+    freq = accepted_count / shots
     rounds = ()
     if record_rounds:
+        term_idx, plus, accepted = (np.concatenate(c) for c in zip(*chunks))
         # one PauliString per sampled term, shared by its rounds
         terms = {t: h.pauli(t) for t in np.unique(term_idx).tolist()}
         rounds = tuple(
             GameRound(terms[t], s, o, a)
             for t, s, o, a in zip(
-                term_idx.tolist(), round_signs.tolist(), outcomes.tolist(), accepted.tolist()
+                term_idx.tolist(),
+                signs[term_idx].tolist(),
+                np.where(plus, 1, -1).tolist(),
+                accepted.tolist(),
             )
         )
     return GameTranscript(

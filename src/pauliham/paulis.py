@@ -563,6 +563,51 @@ def term_distribution(h: Hamiltonian) -> tuple[np.ndarray, np.ndarray]:
     return np.sign(h.coeffs).astype(int), weights / weights.sum()
 
 
+class _TermDraw:
+    """Inverse-CDF draw of term indices from ``term_distribution`` probabilities.
+
+    ``draw(u)`` maps each uniform u in [0, 1) to
+    ``min(searchsorted(cum, u, "right"), T - 1)``, where ``cum`` is the
+    running sum of ``probs`` with its last entry set to exactly 1.0.  This
+    is the one draw rule of the game and of sparsification.
+
+    A caller planning at least as many draws as there are buckets gets a
+    guide table (Chen and Asau 1974, "indexed search"): 2^b buckets of
+    [0, 1), b = bit_length(T) + 3, each holding the index every draw in
+    it maps to, or -1 when a running sum falls inside the bucket.  Draws
+    in a marked bucket fall back to the search, so both ways give the same
+    indices; the table costs a search of 2^b sorted edges to build, so
+    fewer draws (``play_round`` makes one) search directly.
+    """
+
+    def __init__(self, probs: np.ndarray, draws: int):
+        cum = np.cumsum(probs)
+        cum[-1] = 1.0
+        self._cum = cum
+        self._guide = None
+        buckets = 1 << (len(cum).bit_length() + 3)
+        if draws >= buckets:
+            edges = np.arange(buckets + 1) / buckets
+            # The top bucket ends at the largest uniform, below cum[-1] = 1.0.
+            edges[-1] = np.nextafter(1.0, 0.0)
+            first = np.searchsorted(cum, edges, side="right")
+            self._guide = np.where(first[1:] == first[:-1], first[:-1], -1)
+            self._buckets = float(buckets)
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        """Term index of each uniform in ``u``.
+
+        The minimum with T - 1 is never needed: cum[-1] = 1.0 exceeds
+        every u in [0, 1).
+        """
+        if self._guide is None:
+            return np.searchsorted(self._cum, u, side="right")
+        idx = self._guide[(u * self._buckets).astype(np.intp)]
+        miss = np.flatnonzero(idx < 0)
+        idx[miss] = np.searchsorted(self._cum, u[miss], side="right")
+        return idx
+
+
 def _shifted_into(masks: np.ndarray, shift: int, w: int) -> np.ndarray:
     """uint64[T, w] columns of masks moved up by ``shift`` qubits."""
     out = np.zeros((len(masks), w), dtype=np.uint64)

@@ -54,6 +54,14 @@ def _require_int(obj: Any, field: str, path) -> int:
     return value
 
 
+def _finite(value: "int | float") -> bool:
+    """math.isfinite, False also for an int too large for a float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _check_entry(path, i: int, entry: Any, n: int) -> None:
     """Raise the SchemaError that names what is wrong with terms[i], if anything."""
     where = f"{path}: terms[{i}]"
@@ -65,8 +73,8 @@ def _check_entry(path, i: int, entry: Any, n: int) -> None:
     coeff = entry.get("coeff")
     if isinstance(coeff, bool) or not isinstance(coeff, (int, float)):
         raise SchemaError(f"{where}.coeff must be a real number")
-    if not math.isfinite(coeff):
-        raise SchemaError(f"{where}.coeff is non-finite: {coeff}")
+    if not _finite(coeff):
+        raise SchemaError(f"{where}.coeff is non-finite as a float: {coeff}")
     try:
         pauli = parse_pauli(label)
     except PauliParseError as exc:
@@ -83,8 +91,8 @@ def load_hamiltonian(path: "str | Path") -> Hamiltonian:
 
     Raises:
         SchemaError: missing/ill-typed fields, inconsistent string lengths,
-            non-finite coefficients, or illegal Pauli letters; the message
-            names the offending entry.
+            coefficients not finite as floats, or illegal Pauli letters; the
+            message names the offending entry.
     """
     doc = _load_json(path)
     if not isinstance(doc, dict):
@@ -103,7 +111,7 @@ def load_hamiltonian(path: "str | Path") -> Hamiltonian:
             not isinstance(label, str)
             or isinstance(coeff, bool)
             or not isinstance(coeff, (int, float))
-            or not math.isfinite(coeff)
+            or not _finite(coeff)
         ):
             break
         labels.append(label)
@@ -175,8 +183,8 @@ def load_state(path: "str | Path") -> StateVector:
     """Load a state-vector JSON file, renormalizing small norm drift.
 
     Raises:
-        SchemaError: wrong amplitude count or shape, non-finite entries, or
-            a norm farther than 1e-6 from 1.
+        SchemaError: wrong amplitude count or shape, entries not finite as
+            floats, or a norm farther than 1e-6 from 1.
     """
     doc = _load_json(path)
     if not isinstance(doc, dict):
@@ -199,8 +207,8 @@ def load_state(path: "str | Path") -> StateVector:
             or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in entry)
         ):
             raise SchemaError(f"{path}: amplitudes[{i}] must be a [re, im] pair")
-        if not (math.isfinite(entry[0]) and math.isfinite(entry[1])):
-            raise SchemaError(f"{path}: amplitudes[{i}] is non-finite")
+        if not (_finite(entry[0]) and _finite(entry[1])):
+            raise SchemaError(f"{path}: amplitudes[{i}] is non-finite as a float")
         amps[i] = complex(entry[0], entry[1])
     norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > STATE_NORM_TOLERANCE:

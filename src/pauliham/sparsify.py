@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paulis import Hamiltonian, pauli_1_norm, term_distribution
+from .paulis import Hamiltonian, _TermDraw, pauli_1_norm, term_distribution
 from .spectra import to_dense
 
 
@@ -98,11 +98,7 @@ def sample_restriction(
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     signs, probs = term_distribution(h)  # raises on the zero Hamiltonian
     lam = pauli_1_norm(h)
-    cum = np.cumsum(probs)
-    cum[-1] = 1.0
-    idx = np.minimum(
-        np.searchsorted(cum, rng.random(m), side="right"), len(probs) - 1
-    )
+    idx = _TermDraw(probs, m)(rng.random(m))
     counts = np.bincount(idx, minlength=len(probs))
     picked = np.flatnonzero(counts)
     coeffs = counts[picked].astype(float) * (lam / m) * signs[picked]

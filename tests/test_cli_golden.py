@@ -48,6 +48,12 @@ CASES = {
     "game_h6.json": [
         "game", "--ham", "h6.json", "--state", "psi6.json", "--shots", "60", "--seed", "11",
     ],
+    # Four shot chunks, the last one partial; the rounds are elided, so this
+    # pins the aggregate of a multi-chunk run.
+    "game_h6_big.json": [
+        "game", "--ham", "h6.json", "--state", "psi6.json", "--shots", "200003", "--seed", "7",
+        "--format", "json",
+    ],
     "sparsify_h6.json": [
         "sparsify", "--ham", "h6.json", "--m", "200", "--delta", "1.0", "--trials", "3",
         "--seed", "5",

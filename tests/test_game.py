@@ -1,8 +1,11 @@
 import math
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import pauliham.game as game
 from pauliham.amplify import amplify
 from pauliham.game import (
     GameRound,
@@ -19,6 +22,7 @@ from pauliham.paulis import (
     linear_combine,
     pauli_1_norm,
     parse_pauli,
+    random_local,
 )
 from pauliham.spectra import StateVector, extremal_eigs, pauli_expectation
 
@@ -214,6 +218,12 @@ class TestSimulate:
         replayed = tuple(play_round(h, psi, shot_rng(77, i)) for i in range(64))
         assert t.rounds == replayed
 
+    def test_vectorized_equals_sequential_across_chunks(self, monkeypatch):
+        # 64 shots in chunks of 7, drawn through the guide table of 3 terms
+        # (32 buckets), replayed shot by shot from each shot's counter block
+        monkeypatch.setattr(game, "SHOT_CHUNK", 7)
+        self.test_vectorized_equals_sequential()
+
     def test_frequency_tracks_exact(self):
         h = hadamard_power(1)
         psi = extremal_eigs(h).eigvec_max
@@ -240,8 +250,6 @@ class TestSimulate:
 
 
 def test_simulate_computes_each_expectation_once(monkeypatch, rng):
-    import pauliham.game as game
-
     h = random_hamiltonian(rng, 4, max_terms=6)
     psi = random_state(rng, 4)
     seen = []
@@ -256,3 +264,32 @@ def test_simulate_computes_each_expectation_once(monkeypatch, rng):
     assert sorted(p.label for p in seen) == h.labels()
     # the shared expectations still feed the closed-form/term-wise cross-check
     assert transcript.exact_probability == accept_prob_exact(h, psi)
+
+
+class TestStreamedShots:
+    @pytest.fixture(scope="class")
+    def instance(self):
+        h = random_local(6, 3, 40, seed=5)
+        # 10^5 shots are enough draws for the guide table of this many terms
+        assert 100_000 >= 1 << (h.num_terms.bit_length() + 3)
+        return h, random_state(np.random.default_rng(2024), 6)
+
+    @pytest.mark.parametrize("record", [False, True])
+    def test_chunk_size_invariance(self, instance, record, monkeypatch):
+        h, psi = instance
+        reference = simulate(h, psi, 100_000, seed=13, record_rounds=record)
+        assert len(reference.rounds) == (100_000 if record else 0)
+        for chunk in (1, 3, 4096):
+            monkeypatch.setattr(game, "SHOT_CHUNK", chunk)
+            assert simulate(h, psi, 100_000, seed=13, record_rounds=record) == reference
+
+    def test_memory_independent_of_shots(self, instance):
+        h, psi = instance
+        tracemalloc.start()
+        try:
+            simulate(h, psi, 2_000_000, seed=1, record_rounds=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one chunk of uniforms is 2 MiB; drawing all 8e6 at once took 64 MiB
+        assert peak < 6 * 2**20

@@ -1,4 +1,5 @@
-"""Property tests (hypothesis) for the string algebra, the column store and the writer."""
+"""Property tests (hypothesis) for the string algebra, the column store, the
+writer and the term draw rule."""
 
 import json
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from pauliham.paulis import (  # noqa: E402
     Hamiltonian,
+    _TermDraw,
     PauliString,
     Phase,
     commutes,
@@ -145,3 +147,30 @@ def test_writer_override_keys(h, extra):
 def test_writer_zero_hamiltonian():
     h = Hamiltonian.from_columns(3, np.zeros((0, 1)), np.zeros((0, 1)), [])
     assert hamiltonian_json(h) == json.dumps({"n": 3, "terms": []}, indent=2, sort_keys=True)
+
+
+weight_lists = st.one_of(
+    # equal weights: with T a power of two every running sum is a bucket edge
+    st.integers(1, 300).map(lambda t: [1.0] * t),
+    st.lists(st.floats(-300.0, 0.0).map(lambda e: 10.0**e), min_size=1, max_size=300),
+    st.lists(st.floats(1e-300, 1.0), min_size=1, max_size=300),
+)
+
+
+@PROPERTY
+@given(weight_lists, st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=50))
+def test_term_draw_matches_search(weights, uniforms):
+    weights = np.array(weights)
+    probs = weights / weights.sum()
+    cum = np.cumsum(probs)
+    cum[-1] = 1.0
+    buckets = 1 << (len(probs).bit_length() + 3)
+    edges = np.arange(buckets) / buckets
+    u = np.concatenate([
+        [0.0, np.nextafter(1.0, 0.0)], cum, np.nextafter(cum, 0.0), edges,
+        np.nextafter(edges, 0.0), uniforms,
+    ])
+    u = u[u < 1.0]
+    want = np.minimum(np.searchsorted(cum, u, side="right"), len(probs) - 1)
+    for draws in (1, buckets):  # a plain search, then the guide table
+        np.testing.assert_array_equal(_TermDraw(probs, draws)(u), want)

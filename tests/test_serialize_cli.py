@@ -335,6 +335,24 @@ class TestCli:
         assert "got n=40" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_coeff_too_large_for_float_exits_2(self, tmp_path, capsys):
+        h = tmp_path / "huge.json"
+        h.write_text(
+            '{"n": 1, "terms": [{"pauli": "X", "coeff": 1.0},'
+            ' {"pauli": "Z", "coeff": 1' + "0" * 400 + "}]}"
+        )
+        assert main(["norms", "--ham", str(h)]) == 2
+        assert "terms[1].coeff is non-finite as a float" in capsys.readouterr().err
+
+    def test_amplitude_too_large_for_float_exits_2(self, tmp_path, capsys):
+        h = tmp_path / "z.json"
+        _write_ham(h, {"Z": 1.0})
+        psi = tmp_path / "huge.json"
+        psi.write_text('{"n": 1, "amplitudes": [[0, 0], [1' + "0" * 400 + ", 0]]}")
+        argv = ["game", "--ham", str(h), "--state", str(psi), "--shots", "10", "--seed", "1"]
+        assert main(argv) == 2
+        assert "amplitudes[1] is non-finite as a float" in capsys.readouterr().err
+
     def test_norm_precondition_is_input_error(self, tmp_path):
         h = tmp_path / "big.json"
         _write_ham(h, {"Z": 2.0})
