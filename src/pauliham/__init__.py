@@ -45,7 +45,6 @@ from .paulis import (
     pauli_1_norm,
     pauli_mul,
     random_local,
-    sorted_terms,
     tensor,
     tensor_power,
     term_distribution,

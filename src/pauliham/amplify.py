@@ -20,8 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from . import spectra
 from .paulis import Hamiltonian, linear_combine, pauli_1_norm, tensor_power
-from .spectra import DEFAULT_DENSE_LIMIT, extremal_eigs, operator_norm
+from .spectra import extremal_eigs, operator_norm
 
 # Slack used when comparing measured floats against closed-form bounds.
 BOUND_SLACK = 1e-9
@@ -140,34 +141,29 @@ def _require_unit_norm(norm: float) -> None:
         raise ValueError(f"operator norm {norm} exceeds 1")
 
 
-def amplify(
-    h: Hamiltonian,
-    k: int,
-    *,
-    term_cap: int | None = None,
-    dense_limit: int | None = None,
-    assume_norm_ok: bool = False,
-) -> Hamiltonian:
+def amplify(h: Hamiltonian, k: int, *, assume_norm_ok: bool = False) -> Hamiltonian:
     """Apply the shifted tensor-power transform; the k = 1 case returns H itself.
 
     Precondition ||H|| <= 1 is accepted without a solve on the certificate
     ||H|| <= ||H||_P1 <= 1.  Otherwise the eigensolver measures ||H||
-    within the memory budget ``dense_limit`` sets, which holds its vectors
-    up to n = 2 * dense_limit.  ``assume_norm_ok`` waives the check, for
-    callers that have already made it.
+    within the memory budget of ``spectra.DEFAULT_DENSE_LIMIT``, which
+    holds its vectors up to n = 2 * DEFAULT_DENSE_LIMIT.
+    ``assume_norm_ok`` waives the check, for callers that have already
+    made it.
 
     Raises:
-        CapacityError: the expanded operator would exceed the term cap, or
-            the norm check needs a solve beyond n = 2 * dense_limit.
+        CapacityError: the expanded operator would exceed
+            ``paulis.DEFAULT_TERM_CAP`` terms, or the norm check needs a
+            solve beyond n = 2 * DEFAULT_DENSE_LIMIT.
         ValueError: ||H|| > 1.
         ConvergenceError: the norm check's eigensolve did not converge.
     """
     if k < 1:
         raise ValueError(f"tensor power k must be >= 1, got {k}")
     if not assume_norm_ok and pauli_1_norm(h) > 1.0 + 1e-12:
-        _require_unit_norm(operator_norm(h, dense_limit=dense_limit))
+        _require_unit_norm(operator_norm(h))
     shifted = linear_combine([(0.5, Hamiltonian.identity(h.n)), (0.5, h)])
-    powered = tensor_power(shifted, k, term_cap=term_cap)
+    powered = tensor_power(shifted, k)
     return linear_combine(
         [(2.0, powered), (-1.0, Hamiltonian.identity(h.n * k))]
     )
@@ -177,45 +173,43 @@ def verify_amplification(
     h: Hamiltonian,
     params: AmplifyParams,
     *,
-    term_cap: int | None = None,
-    dense_limit: int | None = None,
     eigen_tol: float = 1e-8,
 ) -> AmplificationReport:
     """Amplify H and check every measurable bound, returning the filled report.
 
-    H's spectrum is solved once (up to n = 2 * dense_limit): its top
-    eigenvalue is lambda_in and its norm is checked against amplify's
-    precondition ||H|| <= 1 here, so amplify does not solve it again.
-    The eigenvalue identity lambda_out = map(lambda_in, k) is compared only
-    when n*k fits the dense limit; the Pauli 1-norm comparison runs at any
-    size.  An input whose
-    lambda_max lands strictly between the two promise thresholds gets
-    promise_case "none" and fails verification, since the transform's
-    guarantees only speak to promised instances.
+    H's spectrum is solved once (up to n = 2 * spectra.DEFAULT_DENSE_LIMIT):
+    its top eigenvalue is lambda_in and its norm is checked against
+    amplify's precondition ||H|| <= 1 here, so amplify does not solve it
+    again.  The eigenvalue identity lambda_out = map(lambda_in, k) is
+    compared only when n*k <= DEFAULT_DENSE_LIMIT; the Pauli 1-norm
+    comparison runs at any size.  An input whose lambda_max lands strictly
+    between the two promise thresholds gets promise_case "none" and fails
+    verification, since the transform's guarantees only speak to promised
+    instances.
 
     Raises:
         ValueError: ||H|| > 1, with amplify's message.
-        CapacityError: n > 2 * dense_limit, or the term cap is exceeded.
+        CapacityError: n > 2 * DEFAULT_DENSE_LIMIT, or the term cap
+            ``paulis.DEFAULT_TERM_CAP`` is exceeded.
         ConvergenceError: an eigensolve did not converge.
     """
     report = amplification_bounds(params)
     k = params.k
-    limit = DEFAULT_DENSE_LIMIT if dense_limit is None else dense_limit
 
-    spectrum = extremal_eigs(h, dense_limit=limit).require_converged()
+    spectrum = extremal_eigs(h).require_converged()
     _require_unit_norm(max(abs(spectrum.lambda_max), abs(spectrum.lambda_min)))
     lambda_in = spectrum.lambda_max
     pauli1_in = pauli_1_norm(h)
     p1_bound = pauli_norm_bound(pauli1_in, k)
 
-    amplified = amplify(h, k, term_cap=term_cap, assume_norm_ok=True)
+    amplified = amplify(h, k, assume_norm_ok=True)
     pauli1_out = pauli_1_norm(amplified)
     norm_ok = pauli1_out <= p1_bound + BOUND_SLACK
 
     lambda_out = None
     eigen_ok = True
-    if h.n * k <= limit:
-        lambda_out = extremal_eigs(amplified, dense_limit=limit).require_converged().lambda_max
+    if h.n * k <= spectra.DEFAULT_DENSE_LIMIT:
+        lambda_out = extremal_eigs(amplified).require_converged().lambda_max
         eigen_ok = abs(lambda_out - exact_eigenvalue_map(lambda_in, k)) <= eigen_tol
 
     if lambda_in >= 1.0 - 1.0 / params.p - BOUND_SLACK:

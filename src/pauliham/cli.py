@@ -43,9 +43,14 @@ from .serialize import (
     load_hamiltonian,
     load_state,
     save_state,
-    state_to_jsonable,
 )
-from .spectra import ConvergenceError, extremal_eigs, operator_norm
+from .spectra import (
+    DEFAULT_EIG_TOL,
+    DEFAULT_MAX_ITERS,
+    ConvergenceError,
+    extremal_eigs,
+    operator_norm,
+)
 from .sparsify import SparsifyParams, empirical_deviation
 
 EXIT_OK = 0
@@ -267,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_spec = sub.add_parser("spectrum", help="extremal eigenvalues")
     p_spec.add_argument("--ham", required=True)
-    p_spec.add_argument("--tol", type=float, default=1e-8)
-    p_spec.add_argument("--max-iters", type=int, default=100_000)
+    p_spec.add_argument("--tol", type=float, default=DEFAULT_EIG_TOL)
+    p_spec.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS)
     p_spec.add_argument(
         "--eigvec-out",
         help="also save the top Ritz vector; refused (exit 5) unless the solve converged",

@@ -33,7 +33,7 @@ from .paulis import (
     pauli_1_norm,
     term_distribution,
 )
-from .spectra import StateVector, pauli_expectation
+from .spectra import StateVector, _term_expectations, pauli_expectation
 
 # JSON reports and in-memory transcripts keep per-round records only up to
 # this many shots; aggregates are always exact.
@@ -96,12 +96,7 @@ def accept_prob_exact(h: Hamiltonian, psi: StateVector) -> float:
     if h.n != psi.n:
         raise ValueError(f"qubit counts differ: {h.n} vs {psi.n}")
     signs, probs = term_distribution(h)  # raises on the zero Hamiltonian
-    return _accept_prob(h, signs, probs, _expectations(h, psi))
-
-
-def _expectations(h: Hamiltonian, psi: StateVector) -> np.ndarray:
-    """<psi|P|psi> of every term, in canonical order."""
-    return np.array([pauli_expectation(h.pauli(i), psi) for i in range(h.num_terms)])
+    return _accept_prob(h, signs, probs, _term_expectations(h, psi))
 
 
 def _accept_prob(
@@ -161,7 +156,7 @@ def simulate(
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     signs, probs = term_distribution(h)
-    expectations = _expectations(h, psi)
+    expectations = _term_expectations(h, psi)
     exact = _accept_prob(h, signs, probs, expectations)
     if record_rounds is None:
         record_rounds = shots <= ROUND_RECORD_LIMIT

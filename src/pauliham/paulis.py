@@ -29,8 +29,11 @@ The rows of a Hamiltonian are always in canonical order: label order with
 I < X < Y < Z and qubit 0 most significant, the order of files and of
 sampling.  Canonicalising sorts rows with a stable sort on keys that
 encode that order, sums repeated strings in the order they arrived (the
-floats a sequential sum gives), and drops coefficients at or below the
-prune tolerance.
+floats a sequential sum gives), and drops coefficients at or below
+DEFAULT_PRUNE_TOLERANCE.
+
+That tolerance and the term cap DEFAULT_TERM_CAP are module constants,
+read when a function runs; no function takes them as arguments.
 """
 
 from __future__ import annotations
@@ -47,6 +50,10 @@ PAULI_CHARS = "IXYZ"
 
 # Coefficients with magnitude <= this are dropped from canonical term maps.
 DEFAULT_PRUNE_TOLERANCE = 1e-12
+
+# apply_polynomial's complex phases must cancel to within this; a larger
+# imaginary residue is an algebra bug, not rounding.
+_IMAG_TOLERANCE = 1e-8
 
 # Tensor products and polynomial expansion refuse to materialize more
 # terms than this; the (m+1)^k blow-up of repeated tensoring is inherent
@@ -292,9 +299,9 @@ def _sort_keys(x: np.ndarray, z: np.ndarray, n: int) -> list[np.ndarray]:
 
 
 def _canonical(
-    n: int, x: np.ndarray, z: np.ndarray, coeffs: np.ndarray, tolerance: float
+    n: int, x: np.ndarray, z: np.ndarray, coeffs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows in label order, repeats summed in row order, |c| <= tolerance dropped.
+    """Rows in label order, repeats summed in row order, |c| <= the prune tolerance dropped.
 
     Raises:
         ValueError: a (summed) coefficient is not finite.
@@ -319,16 +326,16 @@ def _canonical(
                 np.add.at(summed, segment, coeffs)
             first = order[starts]  # a stable sort puts the first occurrence first
             x, z, coeffs = x[first], z[first], summed
-    return _finish(n, x, z, coeffs, tolerance)
+    return _finish(n, x, z, coeffs)
 
 
-def _finish(n: int, x: np.ndarray, z: np.ndarray, coeffs: np.ndarray, tolerance: float):
-    """Canonical rows with |c| <= tolerance dropped; raises ValueError on a non-finite one."""
+def _finish(n: int, x: np.ndarray, z: np.ndarray, coeffs: np.ndarray):
+    """Canonical rows with small |c| dropped; raises ValueError on a non-finite one."""
     finite = np.isfinite(coeffs)
     if not finite.all():
         i = int(np.argmin(finite))
         raise ValueError(f"non-finite coefficient for {format_labels(x[i : i + 1], z[i : i + 1], n)[0]}")
-    keep = np.abs(coeffs) > tolerance
+    keep = np.abs(coeffs) > DEFAULT_PRUNE_TOLERANCE
     if not keep.all():
         x, z, coeffs = x[keep], z[keep], coeffs[keep]
     return x, z, coeffs
@@ -345,8 +352,8 @@ class Hamiltonian:
     ``x`` and ``z`` are read-only ``uint64[T, W]`` mask columns and
     ``coeffs`` the read-only ``float64[T]`` coefficients, in canonical
     label order.  Each string appears at most once and no stored
-    coefficient has magnitude <= ``prune_tolerance``.  Because the Pauli
-    strings form an orthogonal operator basis, this decomposition is
+    coefficient has magnitude <= ``DEFAULT_PRUNE_TOLERANCE``.  Because the
+    Pauli strings form an orthogonal operator basis, this decomposition is
     unique, which makes the Pauli 1-norm below a plain coefficient sum.
 
     ``Hamiltonian(n, {PauliString: coeff})`` builds one from a term map;
@@ -354,49 +361,34 @@ class Hamiltonian:
     Instances are immutable.
     """
 
-    __slots__ = ("n", "x", "z", "coeffs", "prune_tolerance", "_terms")
+    __slots__ = ("n", "x", "z", "coeffs", "_terms")
 
-    def __init__(
-        self,
-        n: int,
-        terms: Mapping[PauliString, float],
-        prune_tolerance: float = DEFAULT_PRUNE_TOLERANCE,
-    ):
+    def __init__(self, n: int, terms: Mapping[PauliString, float]):
         x, z, coeffs = _pair_columns(n, list(terms.items()))
-        self._set(n, *_canonical(n, x, z, coeffs, prune_tolerance), prune_tolerance)
+        self._set(n, *_canonical(n, x, z, coeffs))
 
-    def _set(self, n, x, z, coeffs, prune_tolerance) -> None:
+    def _set(self, n, x, z, coeffs) -> None:
         for column in (x, z, coeffs):
             column.flags.writeable = False
-        for name, value in (
-            ("n", n), ("x", x), ("z", z), ("coeffs", coeffs),
-            ("prune_tolerance", prune_tolerance), ("_terms", None),
-        ):
+        for name, value in (("n", n), ("x", x), ("z", z), ("coeffs", coeffs), ("_terms", None)):
             object.__setattr__(self, name, value)
 
     @classmethod
-    def _of(cls, n, x, z, coeffs, prune_tolerance) -> "Hamiltonian":
+    def _of(cls, n, x, z, coeffs) -> "Hamiltonian":
         """Wrap columns that are already canonical."""
         h = object.__new__(cls)
-        h._set(n, x, z, coeffs, prune_tolerance)
+        h._set(n, x, z, coeffs)
         return h
 
     @classmethod
-    def _build(cls, n, x, z, coeffs, prune_tolerance) -> "Hamiltonian":
-        return cls._of(n, *_canonical(n, x, z, coeffs, prune_tolerance), prune_tolerance)
+    def _build(cls, n, x, z, coeffs) -> "Hamiltonian":
+        return cls._of(n, *_canonical(n, x, z, coeffs))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Hamiltonian is immutable; cannot set {name!r}")
 
     @classmethod
-    def from_columns(
-        cls,
-        n: int,
-        x,
-        z,
-        coeffs,
-        prune_tolerance: float = DEFAULT_PRUNE_TOLERANCE,
-    ) -> "Hamiltonian":
+    def from_columns(cls, n: int, x, z, coeffs) -> "Hamiltonian":
         """Build from mask columns (``uint64[T, W]``) and coefficients.
 
         Rows may come in any order; repeated strings merge by summation in
@@ -413,24 +405,15 @@ class Hamiltonian:
             raise ValueError(f"column lengths differ: {len(x)}, {len(z)}, {len(coeffs)}")
         if n % 64 and len(x) and ((x[:, -1] | z[:, -1]) >> (n % 64)).any():
             raise ValueError(f"mask out of range for n={n}")
-        return cls._build(n, x, z, coeffs, prune_tolerance)
+        return cls._build(n, x, z, coeffs)
 
     @classmethod
-    def from_pairs(
-        cls,
-        n: int,
-        pairs: Iterable[tuple[PauliString, float]],
-        prune_tolerance: float = DEFAULT_PRUNE_TOLERANCE,
-    ) -> "Hamiltonian":
+    def from_pairs(cls, n: int, pairs: Iterable[tuple[PauliString, float]]) -> "Hamiltonian":
         """Build from (string, coefficient) pairs, merging duplicates by summation."""
-        return cls._build(n, *_pair_columns(n, list(pairs)), prune_tolerance)
+        return cls._build(n, *_pair_columns(n, list(pairs)))
 
     @classmethod
-    def from_labels(
-        cls,
-        labels: Mapping[str, float],
-        prune_tolerance: float = DEFAULT_PRUNE_TOLERANCE,
-    ) -> "Hamiltonian":
+    def from_labels(cls, labels: Mapping[str, float]) -> "Hamiltonian":
         """Build from a {label: coefficient} mapping, e.g. {"XX": 1.0, "ZZ": 1.0}."""
         if not labels:
             raise ValueError("cannot infer qubit count from an empty label map")
@@ -440,7 +423,7 @@ class Hamiltonian:
             raise PauliParseError("empty Pauli label")
         x, z = parse_labels(names, n)
         coeffs = np.array([float(c) for c in labels.values()])
-        return cls._build(n, x, z, coeffs, prune_tolerance)
+        return cls._build(n, x, z, coeffs)
 
     @classmethod
     def identity(cls, n: int, coeff: float = 1.0) -> "Hamiltonian":
@@ -479,7 +462,6 @@ class Hamiltonian:
             return NotImplemented
         return (
             self.n == other.n
-            and self.prune_tolerance == other.prune_tolerance
             and np.array_equal(self.x, other.x)
             and np.array_equal(self.z, other.z)
             and np.array_equal(self.coeffs, other.coeffs)
@@ -535,11 +517,6 @@ def commutes(p: PauliString, q: PauliString) -> bool:
     """True iff the symplectic form <x_p, z_q> + <x_q, z_p> is even."""
     _require_same_n(p, q)
     return ((p.x_mask & q.z_mask) ^ (p.z_mask & q.x_mask)).bit_count() % 2 == 0
-
-
-def sorted_terms(h: Hamiltonian) -> list[tuple[PauliString, float]]:
-    """Terms in canonical (label-sorted) order; the order used for files and sampling."""
-    return list(h.terms.items())
 
 
 def pauli_1_norm(h: Hamiltonian) -> float:
@@ -619,9 +596,7 @@ def _shifted_into(masks: np.ndarray, shift: int, w: int) -> np.ndarray:
     return out
 
 
-def tensor(
-    a: Hamiltonian, b: Hamiltonian, *, term_cap: int | None = None
-) -> Hamiltonian:
+def tensor(a: Hamiltonian, b: Hamiltonian) -> Hamiltonian:
     """Tensor product A (x) B on n_a + n_b qubits.
 
     Qubits of ``a`` keep their positions; qubits of ``b`` are shifted up by
@@ -630,15 +605,13 @@ def tensor(
     two canonical term lists is canonical without a sort.
 
     Raises:
-        CapacityError: the product would hold more than ``term_cap`` terms.
+        CapacityError: the product would hold more than DEFAULT_TERM_CAP terms.
     """
-    cap = DEFAULT_TERM_CAP if term_cap is None else term_cap
     count = a.num_terms * b.num_terms
-    if count > cap:
-        raise CapacityError(f"tensor product needs {count} terms, cap is {cap}")
+    if count > DEFAULT_TERM_CAP:
+        raise CapacityError(f"tensor product needs {count} terms, cap is {DEFAULT_TERM_CAP}")
     n = a.n + b.n
     w = _words(n)
-    tol = max(a.prune_tolerance, b.prune_tolerance)
     columns = []
     for ma, mb in ((a.x, b.x), (a.z, b.z)):
         out = np.zeros((a.num_terms, b.num_terms, w), dtype=np.uint64)
@@ -646,29 +619,24 @@ def tensor(
         out |= _shifted_into(mb, a.n, w)[None, :, :]
         columns.append(out.reshape(count, w))
     coeffs = np.multiply.outer(a.coeffs, b.coeffs).ravel()
-    return Hamiltonian._of(n, *_finish(n, *columns, coeffs, tol), tol)
+    return Hamiltonian._of(n, *_finish(n, *columns, coeffs))
 
 
-def tensor_power(a: Hamiltonian, k: int, *, term_cap: int | None = None) -> Hamiltonian:
+def tensor_power(a: Hamiltonian, k: int) -> Hamiltonian:
     """k-fold tensor power of a Hamiltonian."""
     if k < 1:
         raise ValueError(f"tensor power needs k >= 1, got {k}")
-    cap = DEFAULT_TERM_CAP if term_cap is None else term_cap
-    if a.num_terms > 1 and a.num_terms**k > cap:
+    if a.num_terms > 1 and a.num_terms**k > DEFAULT_TERM_CAP:
         raise CapacityError(
-            f"tensor power needs {a.num_terms}^{k} terms, cap is {cap}"
+            f"tensor power needs {a.num_terms}^{k} terms, cap is {DEFAULT_TERM_CAP}"
         )
     out = a
     for _ in range(k - 1):
-        out = tensor(out, a, term_cap=cap)
+        out = tensor(out, a)
     return out
 
 
-def linear_combine(
-    coeff_pairs: Sequence[tuple[float, Hamiltonian]],
-    *,
-    prune_tolerance: float | None = None,
-) -> Hamiltonian:
+def linear_combine(coeff_pairs: Sequence[tuple[float, Hamiltonian]]) -> Hamiltonian:
     """Coefficient-wise sum c_1*H_1 + ... with canonical merging and pruning."""
     if not coeff_pairs:
         raise ValueError("linear_combine needs at least one (coeff, Hamiltonian) pair")
@@ -676,18 +644,13 @@ def linear_combine(
     for _, h in coeff_pairs:
         if h.n != n:
             raise DimensionMismatchError(f"qubit counts differ: {h.n} vs {n}")
-    tol = (
-        max(h.prune_tolerance for _, h in coeff_pairs)
-        if prune_tolerance is None
-        else prune_tolerance
-    )
     x = np.concatenate([h.x for _, h in coeff_pairs])
     z = np.concatenate([h.z for _, h in coeff_pairs])
     coeffs = np.concatenate([h.coeffs * coeff for coeff, h in coeff_pairs])
-    return Hamiltonian._build(n, x, z, coeffs, tol)
+    return Hamiltonian._build(n, x, z, coeffs)
 
 
-def _operator_product(a, b, n: int, cap: int, tolerance: float):
+def _operator_product(a, b, n: int):
     """Canonical columns of the product of two complex-weighted Pauli sums.
 
     ``a`` and ``b`` are (x, z, Y counts, coefficients).  Pair (i, j) is
@@ -698,9 +661,9 @@ def _operator_product(a, b, n: int, cap: int, tolerance: float):
     bx, bz, by, bc = b
     count = len(ac) * len(bc)
     # Pairwise products bound the work done, so the cap applies pre-merge.
-    if count > cap:
+    if count > DEFAULT_TERM_CAP:
         raise CapacityError(
-            f"operator product needs {count} pairwise terms, cap is {cap}"
+            f"operator product needs {count} pairwise terms, cap is {DEFAULT_TERM_CAP}"
         )
     w = ax.shape[1]
     x = (ax[:, None, :] ^ bx[None, :, :]).reshape(count, w)
@@ -708,60 +671,53 @@ def _operator_product(a, b, n: int, cap: int, tolerance: float):
     cross = np.bitwise_count(az[:, None, :] & bx[None, :, :]).sum(axis=-1, dtype=np.int64)
     e = (ay[:, None] + by[None, :] + 2 * cross).reshape(count) - _ycount(x, z)
     coeffs = np.multiply.outer(ac, bc).reshape(count) * _PHASE_ARRAY[e & 3]
-    x, z, coeffs = _canonical(n, x, z, coeffs, tolerance)
+    x, z, coeffs = _canonical(n, x, z, coeffs)
     return x, z, _ycount(x, z), coeffs
 
 
-def _real_part(coeffs: np.ndarray, imag_tolerance: float) -> np.ndarray:
+def _real_part(coeffs: np.ndarray) -> np.ndarray:
     """Real parts of coefficients whose imaginary parts must have cancelled.
 
     Raises:
-        HermiticityError: an imaginary part exceeds ``imag_tolerance``.
+        HermiticityError: an imaginary part exceeds ``_IMAG_TOLERANCE``.
     """
     residue = float(np.abs(coeffs.imag).max(initial=0.0))
-    if residue > imag_tolerance:
+    if residue > _IMAG_TOLERANCE:
         raise HermiticityError(
-            f"imaginary residue {residue:.3e} exceeds {imag_tolerance:.3e}"
+            f"imaginary residue {residue:.3e} exceeds {_IMAG_TOLERANCE:.3e}"
         )
     return np.ascontiguousarray(coeffs.real)
 
 
-def apply_polynomial(
-    h: Hamiltonian,
-    poly: Sequence[float],
-    *,
-    term_cap: int | None = None,
-    imag_tolerance: float = 1e-8,
-) -> Hamiltonian:
+def apply_polynomial(h: Hamiltonian, poly: Sequence[float]) -> Hamiltonian:
     """Evaluate f(H) = sum_j c_j H^j in the Pauli basis.
 
     ``poly`` lists c_0..c_d.  Powers of a Hermitian operator are Hermitian,
     so the complex phases introduced by term products must cancel; a
-    residual imaginary part above ``imag_tolerance`` signals an algebra bug
-    and raises :class:`HermiticityError`.
+    residual imaginary part above ``_IMAG_TOLERANCE`` (1e-8) signals an
+    algebra bug and raises :class:`HermiticityError`.  A product forming
+    more than DEFAULT_TERM_CAP pairwise terms raises :class:`CapacityError`.
     """
     if len(poly) == 0:
         raise ValueError("polynomial needs at least the constant coefficient")
-    cap = DEFAULT_TERM_CAP if term_cap is None else term_cap
-    tol = h.prune_tolerance
     base = (h.x, h.z, _ycount(h.x, h.z), h.coeffs.astype(complex))
     zero = np.zeros((1, h.x.shape[1]), dtype=np.uint64)
     power = (zero, zero, np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex))
     parts = []
     for j, cj in enumerate(poly):
         if j > 0:
-            power = _operator_product(power, base, h.n, cap, tol)
+            power = _operator_product(power, base, h.n)
         if cj != 0.0:
             parts.append((power[0], power[1], cj * power[3]))
     if not parts:
-        return Hamiltonian.from_columns(h.n, zero[:0], zero[:0], [], tol)
+        return Hamiltonian.from_columns(h.n, zero[:0], zero[:0], [])
     x, z, coeffs = _canonical(
-        h.n, *(np.concatenate([part[i] for part in parts]) for i in range(3)), tol
+        h.n, *(np.concatenate([part[i] for part in parts]) for i in range(3))
     )
-    return Hamiltonian._build(h.n, x, z, _real_part(coeffs, imag_tolerance), tol)
+    return Hamiltonian._build(h.n, x, z, _real_part(coeffs))
 
 
-def hadamard_power(n: int, *, term_cap: int | None = None) -> Hamiltonian:
+def hadamard_power(n: int) -> Hamiltonian:
     """n-fold tensor power of (X + Z)/sqrt(2).
 
     All 2^n strings over {X, Z}, each with coefficient 2^(-n/2); the
@@ -769,9 +725,10 @@ def hadamard_power(n: int, *, term_cap: int | None = None) -> Hamiltonian:
     """
     if n < 1:
         raise ValueError(f"hadamard_power needs n >= 1, got {n}")
-    cap = DEFAULT_TERM_CAP if term_cap is None else term_cap
-    if 2**n > cap:
-        raise CapacityError(f"hadamard_power(n={n}) needs {2**n} terms, cap is {cap}")
+    if 2**n > DEFAULT_TERM_CAP:
+        raise CapacityError(
+            f"hadamard_power(n={n}) needs {2**n} terms, cap is {DEFAULT_TERM_CAP}"
+        )
     coeff = 2.0 ** (-n / 2.0)
     z = np.arange(1 << n, dtype=np.uint64).reshape(-1, 1)  # 2^n <= cap: one word
     x = np.uint64((1 << n) - 1) ^ z
@@ -825,7 +782,6 @@ def build_model(
     ell: int | None = None,
     m: int | None = None,
     seed: int | None = None,
-    term_cap: int | None = None,
 ) -> Hamiltonian:
     """Construct one of the named model families.
 
@@ -833,7 +789,7 @@ def build_model(
     additionally needs ell, m and seed.
     """
     if kind == "hadamard_power":
-        return hadamard_power(n, term_cap=term_cap)
+        return hadamard_power(n)
     if kind == "xxzz_chain":
         return xxzz_chain(n)
     if kind == "random_local":

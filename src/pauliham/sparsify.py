@@ -102,7 +102,7 @@ def sample_restriction(
     counts = np.bincount(idx, minlength=len(probs))
     picked = np.flatnonzero(counts)
     coeffs = counts[picked].astype(float) * (lam / m) * signs[picked]
-    return Hamiltonian.from_columns(h.n, h.x[picked], h.z[picked], coeffs, h.prune_tolerance)
+    return Hamiltonian.from_columns(h.n, h.x[picked], h.z[picked], coeffs)
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -110,22 +110,24 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, trial]))
 
 
-def empirical_deviation(
-    h: Hamiltonian, params: SparsifyParams, *, dense_limit: int | None = None
-) -> SparsifyReport:
+def empirical_deviation(h: Hamiltonian, params: SparsifyParams) -> SparsifyReport:
     """Measure Pr[||H - H''|| >= delta] over independent seeded restrictions.
 
     Each trial draws its own restriction and evaluates the spectral
-    deviation with the dense oracle, so n must be within the dense limit.
-    Trials use per-trial derived seeds and may run in any order.
+    deviation with the dense oracle, so n must be at most
+    ``spectra.DEFAULT_DENSE_LIMIT``.  Trials use per-trial derived seeds
+    and may run in any order.
+
+    Raises:
+        CapacityError: n exceeds the dense limit.
     """
-    dense = to_dense(h, dense_limit=dense_limit)
+    dense = to_dense(h)
     deviations = []
     terms_after = []
     pauli1_after = []
     for trial in range(params.trials):
         restricted = sample_restriction(h, params.m, _trial_rng(params.seed, trial))
-        diff = dense - to_dense(restricted, dense_limit=dense_limit)
+        diff = dense - to_dense(restricted)
         deviations.append(float(np.max(np.abs(np.linalg.eigvalsh(diff)))))
         terms_after.append(restricted.num_terms)
         pauli1_after.append(pauli_1_norm(restricted))

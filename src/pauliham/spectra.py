@@ -19,11 +19,13 @@ A group whose terms carry an odd number of Y factors is purely imaginary
 (the (-i) above), so each group is split by that parity and every
 diagonal stays real.  The kernel never materialises a matrix.
 
-``PAULIHAM_DENSE_LIMIT`` (default 12) sets one byte budget, 16 * 4^limit
-bytes, which is what :func:`to_dense` needs at n = limit.  It bounds
-``to_dense`` itself, and caps the solver's Krylov basis and its kept
-diagonals; a basis that fills up restarts from its extremal Ritz vectors.
-The solver refuses n > 2 * limit, where one 2^n vector alone is over it.
+``DEFAULT_DENSE_LIMIT`` (``PAULIHAM_DENSE_LIMIT``, default 12, read at
+import; the functions read the constant when they run) sets one byte
+budget, 16 * 4^limit bytes, which is what :func:`to_dense` needs at
+n = limit.  It bounds ``to_dense`` itself, and caps the solver's Krylov
+basis and its kept diagonals; a basis that fills up restarts from its
+extremal Ritz vectors.  The solver refuses n > 2 * limit, where one 2^n
+vector alone is over it.  No function takes the limit as an argument.
 ``to_dense`` is the brute-force oracle the tests check the solver against,
 and the sparsification experiment's exact deviation.
 """
@@ -162,15 +164,14 @@ def _dense_budget(limit: int) -> int:
     return 16 << (2 * limit)
 
 
-def to_dense(h: Hamiltonian, *, dense_limit: int | None = None) -> np.ndarray:
+def to_dense(h: Hamiltonian) -> np.ndarray:
     """Brute-force 2^n x 2^n Hermitian matrix of a Hamiltonian.
 
     Raises:
-        CapacityError: n exceeds the dense limit.
+        CapacityError: n exceeds DEFAULT_DENSE_LIMIT.
     """
-    limit = DEFAULT_DENSE_LIMIT if dense_limit is None else dense_limit
-    if h.n > limit:
-        raise CapacityError(f"dense path limited to n <= {limit}, got n={h.n}")
+    if h.n > DEFAULT_DENSE_LIMIT:
+        raise CapacityError(f"dense path limited to n <= {DEFAULT_DENSE_LIMIT}, got n={h.n}")
     dim = 1 << h.n
     idx = np.arange(dim, dtype=np.int64)
     mat = np.zeros((dim, dim), dtype=np.complex128)
@@ -262,11 +263,17 @@ def _mask_expectation(x: int, z: int, psi: StateVector) -> float:
     return val.real
 
 
-def expectation(h: Hamiltonian, psi: StateVector) -> float:
-    """Energy <psi|H|psi>, accumulated term-wise as sum_P beta_P <P>."""
+def _term_expectations(h: Hamiltonian, psi: StateVector) -> np.ndarray:
+    """float64[T] of <psi|P|psi> for every term P of H, in canonical order."""
     if h.n != psi.n:
         raise DimensionMismatchError(f"qubit counts differ: {h.n} vs {psi.n}")
-    return float(sum(c * _mask_expectation(x, z, psi) for x, z, c in _term_columns(h)))
+    values = [_mask_expectation(x, z, psi) for x, z, _ in _term_columns(h)]
+    return np.array(values, dtype=float)
+
+
+def expectation(h: Hamiltonian, psi: StateVector) -> float:
+    """Energy <psi|H|psi>, accumulated term-wise as sum_P beta_P <P>, left to right."""
+    return float(sum((h.coeffs * _term_expectations(h, psi)).tolist()))
 
 
 class _KrylovBasis:
@@ -322,7 +329,6 @@ def extremal_eigs(
     *,
     tol: float = DEFAULT_EIG_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
-    dense_limit: int | None = None,
 ) -> SpectralResult:
     """Largest and smallest eigenvalues of H, with the top Ritz vector.
 
@@ -332,23 +338,22 @@ def extremal_eigs(
     Ritz residual of both ends is at most ``tol``, when the Krylov space
     becomes invariant (an exact breakdown), or after ``max_iters``
     matvecs.  The basis lives within the ``to_dense`` byte budget of
-    ``dense_limit``; when it is full the iteration restarts from the
+    DEFAULT_DENSE_LIMIT; when it is full the iteration restarts from the
     normalised sum of the two extremal Ritz vectors.
 
     Raises:
-        CapacityError: n > 2 * dense_limit, where one vector alone exceeds
-            the budget.
+        CapacityError: n > 2 * DEFAULT_DENSE_LIMIT, where one vector alone
+            exceeds the budget.
     """
     if h.is_zero():
         raise ValueError("extremal_eigs needs a nonzero Hamiltonian")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    limit = DEFAULT_DENSE_LIMIT if dense_limit is None else dense_limit
-    budget = _dense_budget(limit)
+    budget = _dense_budget(DEFAULT_DENSE_LIMIT)
     if 16 << h.n > budget:
         raise CapacityError(
-            f"eigensolver limited to n <= {2 * limit} (one 2^n vector within the "
-            f"dense budget of limit {limit}), got n={h.n}"
+            f"eigensolver limited to n <= {2 * DEFAULT_DENSE_LIMIT} (one 2^n vector "
+            f"within the dense budget of limit {DEFAULT_DENSE_LIMIT}), got n={h.n}"
         )
     dim = 1 << h.n
     kernel = _GroupedKernel(h, keep_bytes=budget)

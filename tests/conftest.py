@@ -10,6 +10,8 @@ reversed label (most significant factor first).
 import numpy as np
 import pytest
 
+import pauliham.paulis as paulis
+import pauliham.spectra as spectra
 from pauliham.paulis import Hamiltonian, PauliString, parse_pauli
 from pauliham.spectra import StateVector
 
@@ -76,3 +78,27 @@ def random_state(rng: np.random.Generator, n: int) -> StateVector:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+# The library's limits are module constants read when a function runs;
+# a test lowers one through the ``limits`` fixture below.
+_LIMITS = {
+    "term_cap": (paulis, "DEFAULT_TERM_CAP"),
+    "dense_limit": (spectra, "DEFAULT_DENSE_LIMIT"),
+    "imag_tolerance": (paulis, "_IMAG_TOLERANCE"),
+}
+
+
+@pytest.fixture
+def limits(monkeypatch):
+    """Setter of the limit constants for one test, e.g. ``limits(term_cap=8)``.
+
+    Keywords are ``term_cap``, ``dense_limit`` and ``imag_tolerance``; each
+    value is restored when the test ends.
+    """
+
+    def set_limits(**values):
+        for name, value in values.items():
+            monkeypatch.setattr(*_LIMITS[name], value)
+
+    return set_limits

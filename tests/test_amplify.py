@@ -18,7 +18,6 @@ from pauliham.paulis import (
     hadamard_power,
     linear_combine,
     pauli_1_norm,
-    sorted_terms,
     xxzz_chain,
 )
 from pauliham.spectra import extremal_eigs, operator_norm, to_dense
@@ -157,7 +156,7 @@ class TestAmplify:
     def test_z_cubed_pauli_form(self):
         # oracle: 2|000><000| - I expanded brute force over the 8 diagonal strings
         out = amplify(Hamiltonian.from_labels({"Z": 1.0}), 3)
-        got = {p.label: c for p, c in sorted_terms(out)}
+        got = {p.label: c for p, c in out.terms.items()}
         want = {"III": -0.75}
         for label in ("IIZ", "IZI", "ZII", "IZZ", "ZIZ", "ZZI", "ZZZ"):
             want[label] = 0.25
@@ -186,30 +185,33 @@ class TestAmplify:
         out = amplify(Hamiltonian.from_labels({"Z": 2.0}), 2, assume_norm_ok=True)
         assert out.n == 2
 
-    def test_certificate_path_beyond_dense_limit(self):
+    def test_certificate_path_beyond_dense_limit(self, limits):
         h = Hamiltonian.from_labels({"Z" * 6: 0.5})
-        out = amplify(h, 2, dense_limit=3)  # P1 <= 1 certificate, no dense check
+        limits(dense_limit=3)
+        out = amplify(h, 2)  # P1 <= 1 certificate, no dense check
         assert out.n == 12
 
-    def test_uncertifiable_norm_rejected(self):
+    def test_uncertifiable_norm_rejected(self, limits):
         # n = 6 is beyond the dense limit 3 and ||H||_P1 > 1, so the
         # eigensolver decides.  X and Z on qubit 0 anticommute:
         # ||0.6 X + 0.6 Z|| = 0.6 sqrt(2) <= 1 < 1.2 = ||H||_P1.
         accepted = Hamiltonian.from_labels({"XIIIII": 0.6, "ZIIIII": 0.6})
         assert pauli_1_norm(accepted) > 1.0
-        out = amplify(accepted, 2, dense_limit=3)
+        limits(dense_limit=3)
+        out = amplify(accepted, 2)
         assert out.n == 12 and out.num_terms == 9
         # XXXXXX and ZZZZZZ commute, so ||H|| = 0.9 + 0.9 > 1.
         refused = Hamiltonian.from_labels({"X" * 6: 0.9, "Z" * 6: 0.9})
         with pytest.raises(ValueError, match="operator norm .* exceeds 1"):
-            amplify(refused, 2, dense_limit=3)
+            amplify(refused, 2)
 
-    def test_norm_check_beyond_solver_budget_refused(self):
+    def test_norm_check_beyond_solver_budget_refused(self, limits):
         # one 2^7 vector exceeds the budget of limit 3 (n <= 6): refused
         # before any solve, where the certificate ||H||_P1 <= 1 cannot help
         h = Hamiltonian.from_labels({"XIIIIII": 0.6, "ZIIIIII": 0.6})
+        limits(dense_limit=3)
         with pytest.raises(CapacityError, match="n <= 6"):
-            amplify(h, 2, dense_limit=3)
+            amplify(h, 2)
 
     def test_capacity_cap(self):
         with pytest.raises(CapacityError):
@@ -286,11 +288,11 @@ class TestVerifyAmplification:
         assert report.promise_case == "none"
         assert not report.all_bounds_hold
 
-    def test_norm_only_beyond_dense_limit(self):
+    def test_norm_only_beyond_dense_limit(self, limits):
+        limits(dense_limit=2)
         report = verify_amplification(
             Hamiltonian.from_labels({"Z": 0.5}),
             AmplifyParams(k=4, p=math.inf, q=2.0),
-            dense_limit=2,
         )
         assert report.lambda_out_exact is None
         assert report.pauli1_out is not None

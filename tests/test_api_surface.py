@@ -1,0 +1,65 @@
+"""The library's limits are module constants, not per-call options.
+
+The term cap, the dense limit and the two tolerances are each set in one
+place (``paulis.DEFAULT_TERM_CAP``, ``spectra.DEFAULT_DENSE_LIMIT``,
+``paulis.DEFAULT_PRUNE_TOLERANCE`` and ``paulis._IMAG_TOLERANCE``).  This
+sweep keeps a keyword or an instance field for them from coming back.
+"""
+
+import inspect
+
+import pauliham
+from pauliham import Hamiltonian
+
+REMOVED = {"term_cap", "dense_limit", "prune_tolerance", "imag_tolerance"}
+
+
+def _public_callables():
+    for name, obj in sorted(vars(pauliham).items()):
+        if name.startswith("_") or not callable(obj):
+            continue
+        if inspect.isclass(obj) and issubclass(obj, BaseException):
+            continue
+        yield name, obj
+        if inspect.isclass(obj):
+            for attr, member in sorted(vars(obj).items()):
+                if attr.startswith("_"):
+                    continue
+                if isinstance(member, (classmethod, staticmethod)):
+                    yield f"{name}.{attr}", getattr(obj, attr)
+                elif inspect.isfunction(member):
+                    yield f"{name}.{attr}", member
+
+
+CALLABLES = list(_public_callables())
+
+
+def test_sweep_covers_the_constructors():
+    names = {name for name, _ in CALLABLES}
+    assert {
+        "Hamiltonian",
+        "Hamiltonian.from_columns",
+        "Hamiltonian.from_pairs",
+        "Hamiltonian.from_labels",
+        "tensor",
+        "apply_polynomial",
+        "extremal_eigs",
+        "amplify",
+        "empirical_deviation",
+    } <= names
+
+
+def test_no_limit_keywords():
+    offenders = [
+        (name, param)
+        for name, obj in CALLABLES
+        for param in inspect.signature(obj).parameters
+        if param in REMOVED
+    ]
+    assert offenders == []
+
+
+def test_hamiltonian_has_no_tolerance_field():
+    h = Hamiltonian.from_labels({"XZ": 1.0})
+    assert not hasattr(h, "prune_tolerance")
+    assert "prune_tolerance" not in Hamiltonian.__slots__

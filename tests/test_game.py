@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import pauliham.game as game
+import pauliham.spectra as spectra
 from pauliham.amplify import amplify
 from pauliham.game import (
     GameRound,
@@ -18,6 +19,7 @@ from pauliham.game import (
 )
 from pauliham.paulis import (
     Hamiltonian,
+    PauliString,
     hadamard_power,
     linear_combine,
     pauli_1_norm,
@@ -253,12 +255,13 @@ def test_simulate_computes_each_expectation_once(monkeypatch, rng):
     h = random_hamiltonian(rng, 4, max_terms=6)
     psi = random_state(rng, 4)
     seen = []
+    mask_expectation = spectra._mask_expectation
 
-    def counting(p, state):
-        seen.append(p)
-        return pauli_expectation(p, state)
+    def counting(x, z, state):
+        seen.append(PauliString(h.n, x, z))
+        return mask_expectation(x, z, state)
 
-    monkeypatch.setattr(game, "pauli_expectation", counting)
+    monkeypatch.setattr(spectra, "_mask_expectation", counting)
     transcript = simulate(h, psi, 500, seed=3)
     assert len(seen) == h.num_terms
     assert sorted(p.label for p in seen) == h.labels()

@@ -21,7 +21,6 @@ from pauliham.paulis import (
     pauli_1_norm,
     pauli_mul,
     random_local,
-    sorted_terms,
     tensor,
     tensor_power,
     xxzz_chain,
@@ -232,10 +231,11 @@ class TestTensor:
             want = pauli_1_norm(a) * pauli_1_norm(b)
             assert got == pytest.approx(want, rel=1e-12)
 
-    def test_capacity_error(self):
+    def test_capacity_error(self, limits):
         h = hadamard_power(2)
+        limits(term_cap=8)
         with pytest.raises(CapacityError):
-            tensor(h, h, term_cap=8)
+            tensor(h, h)
 
     def test_tensor_power_capacity(self):
         with pytest.raises(CapacityError):
@@ -312,16 +312,18 @@ class TestApplyPolynomial:
         with pytest.raises(ValueError):
             apply_polynomial(Hamiltonian.from_labels({"X": 1.0}), [])
 
-    def test_blow_up_capacity(self):
+    def test_blow_up_capacity(self, limits):
         h = hadamard_power(2)
+        limits(term_cap=8)
         with pytest.raises(CapacityError):
-            apply_polynomial(h, [0.0, 0.0, 1.0], term_cap=8)
+            apply_polynomial(h, [0.0, 0.0, 1.0])
 
-    def test_hermiticity_error_surfaces(self):
+    def test_hermiticity_error_surfaces(self, limits):
         # apply_polynomial's residue check, on coefficients that did not cancel
+        limits(imag_tolerance=1e-10)
         with pytest.raises(HermiticityError):
-            _real_part(np.array([1.0 + 0.5j]), imag_tolerance=1e-10)
-        assert _real_part(np.array([1.0 + 1e-12j]), imag_tolerance=1e-10).tolist() == [1.0]
+            _real_part(np.array([1.0 + 0.5j]))
+        assert _real_part(np.array([1.0 + 1e-12j])).tolist() == [1.0]
 
 
 class TestPauli1Norm:
@@ -391,4 +393,4 @@ class TestModels:
 
 def test_sorted_terms_is_label_order():
     h = Hamiltonian.from_labels({"ZZ": 1.0, "IX": 2.0, "XI": 3.0})
-    assert [p.label for p, _ in sorted_terms(h)] == ["IX", "XI", "ZZ"]
+    assert h.labels() == ["IX", "XI", "ZZ"]

@@ -404,6 +404,25 @@ class TestCli:
         assert doc["method"] == "iterative"
         assert doc["lambda_max"] == pytest.approx(2.0, abs=1e-6)
 
+    def test_env_overrides_term_cap(self, tmp_path):
+        # PAULIHAM_TERM_CAP is read at import, so probe via a subprocess
+        import os
+        import subprocess
+        import sys
+
+        ham = tmp_path / "h.json"
+        _write_ham(ham, {"XX": 0.5, "ZZ": 0.5})  # (I + H)/2 has 3 terms: 27 at k = 3
+        assert main(["amplify", "--ham", str(ham), "--k", "3", "--out", str(tmp_path / "a.json")]) == 0
+        env = dict(os.environ, PAULIHAM_TERM_CAP="26")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pauliham", "amplify", "--ham", str(ham), "--k", "3"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 3
+        assert "capacity error" in proc.stderr
+        assert "cap is 26" in proc.stderr
+        assert proc.stdout == ""
+
     def test_spectrum_eigvec_out_feeds_game(self, tmp_path, capsys):
         ham = tmp_path / "had.json"
         vec = tmp_path / "top.json"

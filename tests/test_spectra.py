@@ -86,10 +86,11 @@ class TestToDense:
             m = to_dense(h)
             assert np.max(np.abs(m - m.conj().T)) <= 1e-12
 
-    def test_dense_limit(self):
+    def test_dense_limit(self, limits):
         h = xxzz_chain(5)
+        limits(dense_limit=4)
         with pytest.raises(CapacityError):
-            to_dense(h, dense_limit=4)
+            to_dense(h)
 
 
 class TestMatvec:
@@ -210,20 +211,23 @@ class TestExtremalEigs:
             assert iterative.residual <= 1e-9
             assert _ritz_residual(h, iterative) <= 1e-8
 
-    def test_iterative_auto_beyond_dense_limit(self, rng):
+    def test_iterative_auto_beyond_dense_limit(self, rng, limits):
         # n above dense_limit: to_dense refuses, the solver still runs
         h = random_hamiltonian(rng, 4, max_terms=4)
+        want = _oracle(h)  # the oracle needs the default limit
+        limits(dense_limit=3)
         with pytest.raises(CapacityError):
-            to_dense(h, dense_limit=3)
-        res = extremal_eigs(h, dense_limit=3)
+            to_dense(h)
+        res = extremal_eigs(h)
         assert res.method == "iterative" and res.converged
-        assert (res.lambda_max, res.lambda_min) == pytest.approx(_oracle(h), abs=1e-9)
+        assert (res.lambda_max, res.lambda_min) == pytest.approx(want, abs=1e-9)
 
-    def test_refuses_vectors_beyond_budget(self):
+    def test_refuses_vectors_beyond_budget(self, limits):
         # limit 3 budgets 16 * 4^3 B: one vector of dim 2^6 fits, 2^7 does not
-        assert extremal_eigs(Hamiltonian.from_labels({"Z" * 6: 1.0}), dense_limit=3).converged
+        limits(dense_limit=3)
+        assert extremal_eigs(Hamiltonian.from_labels({"Z" * 6: 1.0})).converged
         with pytest.raises(CapacityError, match="n <= 6.*got n=7"):
-            extremal_eigs(Hamiltonian.from_labels({"Z" * 7: 1.0}), dense_limit=3)
+            extremal_eigs(Hamiltonian.from_labels({"Z" * 7: 1.0}))
 
     def test_non_convergence_is_explicit(self, rng):
         h = random_hamiltonian(rng, 4, max_terms=5)
@@ -292,15 +296,17 @@ class TestLanczosOracle:
         assert _ritz_residual(h, res) <= 1e-7
         assert expectation(h, res.eigvec_max) == pytest.approx(res.lambda_max, abs=1e-9)
 
-    def test_small_budget_restarts_and_converges(self, rng):
+    def test_small_budget_restarts_and_converges(self, rng, limits):
         # budget 16 * 4^6 B holds 16 vectors of dim 2^10, far fewer than the
         # iterations needed, so the solve restarts several times
         h = random_local(10, 3, 30, seed=3)
         roomy = extremal_eigs(h)
-        tight = extremal_eigs(h, dense_limit=7)
+        want = _oracle(h)  # the oracle needs the default limit
+        limits(dense_limit=7)
+        tight = extremal_eigs(h)
         assert tight.converged
         assert tight.iterations > 16 * 3 and tight.iterations > roomy.iterations
-        assert (tight.lambda_max, tight.lambda_min) == pytest.approx(_oracle(h), abs=1e-9)
+        assert (tight.lambda_max, tight.lambda_min) == pytest.approx(want, abs=1e-9)
         assert _ritz_residual(h, tight) <= 1e-7
 
     def test_deterministic(self, rng):

@@ -177,11 +177,12 @@ class TestAgainstDictReference:
             for p, c in want.items():
                 assert got[p] == pytest.approx(c, abs=1e-12)
 
-    def test_tensor_power_counts_and_cap(self):
+    def test_tensor_power_counts_and_cap(self, limits):
         h = Hamiltonian.from_labels({"I": 0.5, "X": 0.3, "Z": 0.2})
         assert tensor_power(h, 5).num_terms == 3**5
+        limits(term_cap=3**5 - 1)
         with pytest.raises(CapacityError):
-            tensor_power(h, 5, term_cap=3**5 - 1)
+            tensor_power(h, 5)
 
 
 class TestLabelColumns:
@@ -237,8 +238,8 @@ class TestHermiticity:
         # an operator product that forgets its phases leaves imaginary parts
         real_product = paulis._operator_product
 
-        def skewed(a, b, n, cap, tolerance):
-            x, z, y, c = real_product(a, b, n, cap, tolerance)
+        def skewed(a, b, n):
+            x, z, y, c = real_product(a, b, n)
             return x, z, y, c + 1e-3j
 
         monkeypatch.setattr(paulis, "_operator_product", skewed)
