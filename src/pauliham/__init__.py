@@ -22,6 +22,7 @@ from .game import (
     accept_prob_exact,
     play_round,
     sample_term,
+    shot_chunks,
     shot_rng,
     simulate,
 )

@@ -1,9 +1,11 @@
 """Command-line surface tying the modules into reproducible experiments.
 
 Subcommands: build, norms, spectrum, amplify, verify-lemma, game, sparsify.
-Primary outputs are deterministic JSON (byte-identical for identical config
-and inputs); wall-clock timestamps go only to a ``<out>.log`` sidecar.
-Every report embeds the full run configuration under the "config" key.
+Primary outputs are deterministic JSON or CSV (byte-identical for identical
+config and inputs); wall-clock timestamps go only to a ``<out>.log`` sidecar.
+Every JSON report embeds the full run configuration under the "config" key.
+Outputs are written piece by piece once every check has passed, so a
+failing run leaves no output file.
 
 Exit codes: 0 ok, 1 usage, 2 input error, 3 capacity error, 4 verification
 failure (verify-lemma reporting all_bounds_hold = false), 5 convergence
@@ -19,17 +21,17 @@ environment variables PAULIHAM_DENSE_LIMIT and PAULIHAM_TERM_CAP.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import datetime
-import io
 import json
 import math
 import sys
-from pathlib import Path
+from collections.abc import Iterable, Iterator
+
+import numpy as np
 
 from .amplify import AmplifyParams, amplify, verify_amplification
-from .game import simulate
+from .game import shot_chunks, simulate
 from .paulis import (
     CapacityError,
     DimensionMismatchError,
@@ -87,38 +89,49 @@ def _config_of(args: argparse.Namespace) -> dict:
     return _jsonable({k: v for k, v in vars(args).items() if not k.startswith("_")})
 
 
-def _emit_text(text: str, out: "str | None", args: argparse.Namespace) -> None:
+def _emit(pieces: Iterable[str], out: "str | None", args: argparse.Namespace) -> None:
+    """Write the pieces to stdout, or to ``out`` and then its ``<out>.log`` sidecar."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
-    Path(out).write_text(text, encoding="utf-8")
-    _sidecar_log(out, args)
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.writelines(pieces)
+    stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    with open(f"{out}.log", "a", encoding="utf-8") as fh:
+        fh.write(f"{stamp} {args.subcommand} {json.dumps(_config_of(args), sort_keys=True)}\n")
 
 
 def _emit_json(doc: dict, out: "str | None", args: argparse.Namespace) -> None:
-    doc = dict(doc)
-    doc["config"] = _config_of(args)
-    _emit_text(json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n", out, args)
+    doc = _jsonable({**doc, "config": _config_of(args)})
+    _emit([json.dumps(doc, indent=2, sort_keys=True), "\n"], out, args)
 
 
 def _emit_hamiltonian(ham, out: "str | None", args: argparse.Namespace) -> None:
     """_emit_json of the Hamiltonian document, written from its columns."""
-    _emit_text(hamiltonian_json(ham, {"config": _config_of(args)}) + "\n", out, args)
+    _emit(hamiltonian_json(ham, {"config": _config_of(args)}), out, args)
 
 
-def _sidecar_log(out: str, args: argparse.Namespace) -> None:
-    stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    line = f"{stamp} {args.subcommand} {json.dumps(_config_of(args), sort_keys=True)}\n"
-    with open(f"{out}.log", "a", encoding="utf-8") as fh:
-        fh.write(line)
+def _csv_rows(start: int, *parts: list[str]) -> str:
+    """CSV lines: the row index from ``start``, then row i's text of each part."""
+    rows, stride = len(parts[0]), 1 + len(parts)
+    pieces = [""] * (rows * stride)
+    pieces[0::stride] = map(str, range(start, start + rows))
+    for j, part in enumerate(parts, 1):
+        pieces[j::stride] = part
+    return "".join(pieces)
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _game_csv(labels: list[str], signs: np.ndarray, chunks) -> Iterator[str]:
+    """The game's CSV text, one piece per chunk of ``shot_chunks``."""
+    yield "round,pauli,coeff_sign,outcome,accepted\n"
+    # After its index, a row holds its term's ",label,sign," and then its
+    # "outcome,accepted", which is verdicts[2 * plus + accepted].
+    terms = np.array([f",{p},{s}," for p, s in zip(labels, signs.tolist())], dtype=object)
+    verdicts = np.array(["-1,0\n", "-1,1\n", "1,0\n", "1,1\n"], dtype=object)
+    start = 0
+    for term_idx, plus, accepted in chunks:
+        yield _csv_rows(start, terms[term_idx].tolist(), verdicts[2 * plus + accepted].tolist())
+        start += len(term_idx)
 
 
 def _cmd_build(args) -> int:
@@ -197,19 +210,11 @@ def _resolve_state(state_arg: str, ham):
 def _cmd_game(args) -> int:
     ham = load_hamiltonian(args.ham)
     psi = _resolve_state(args.state, ham)
-    record = True if args.format == "csv" else None
-    transcript = simulate(ham, psi, args.shots, args.seed, record_rounds=record)
     if args.format == "csv":
-        rows = [
-            [i, r.sampled_term.label, r.coeff_sign, r.outcome, int(r.accepted)]
-            for i, r in enumerate(transcript.rounds)
-        ]
-        _emit_text(
-            _csv_text(["round", "pauli", "coeff_sign", "outcome", "accepted"], rows),
-            args.out,
-            args,
-        )
+        _, signs, chunks = shot_chunks(ham, psi, args.shots, args.seed)
+        _emit(_game_csv(ham.labels(), signs, chunks), args.out, args)
         return EXIT_OK
+    transcript = simulate(ham, psi, args.shots, args.seed)
     _emit_json(
         {
             "shots": transcript.shots,
@@ -239,10 +244,8 @@ def _cmd_sparsify(args) -> int:
     params = SparsifyParams(m=args.m, delta=args.delta, seed=args.seed, trials=args.trials)
     report = empirical_deviation(ham, params)
     if args.format == "csv":
-        rows = [
-            [i, d, int(d >= params.delta)] for i, d in enumerate(report.deviations)
-        ]
-        _emit_text(_csv_text(["trial", "deviation", "failed"], rows), args.out, args)
+        rows = [f",{d!r},{int(d >= params.delta)}\n" for d in report.deviations]
+        _emit(["trial,deviation,failed\n", _csv_rows(0, rows)], args.out, args)
         return EXIT_OK
     _emit_json(dataclasses.asdict(report), args.out, args)
     return EXIT_OK

@@ -13,14 +13,15 @@ Randomness is counter-based for reproducibility: a simulation seeded with
 ``seed`` assigns shot i the Philox counter block i (4 uniform doubles, of
 which a round consumes two).  Workers splitting shots [a, b) therefore
 reproduce the sequential transcript bit for bit by starting their
-generator at ``Philox(key=seed).advance(a)``.  ``simulate`` splits its own
-shots that way: it streams them in chunks of SHOT_CHUNK consecutive
+generator at ``Philox(key=seed).advance(a)``.  ``shot_chunks`` splits
+its shots that way: it yields them in chunks of SHOT_CHUNK consecutive
 counter blocks, so a million-shot game needs one chunk's arrays, not a
-million shots' worth.
+million shots' worth; ``simulate`` and the CLI's CSV rows consume them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,7 +40,7 @@ from .spectra import StateVector, _term_expectations, pauli_expectation
 # this many shots; aggregates are always exact.
 ROUND_RECORD_LIMIT = 10_000
 
-# simulate evaluates this many shots at a time; its working arrays hold
+# shot_chunks draws this many shots at a time; its working arrays hold
 # this many entries however many shots are asked for.
 SHOT_CHUNK = 1 << 16
 
@@ -134,69 +135,58 @@ def shot_rng(seed: int, shot: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed).advance(shot))
 
 
-def simulate(
-    h: Hamiltonian,
-    psi: StateVector,
-    shots: int,
-    seed: int,
-    *,
-    record_rounds: bool | None = None,
-) -> GameTranscript:
-    """Seed-deterministic transcript of many rounds.
+def shot_chunks(h: Hamiltonian, psi: StateVector, shots: int, seed: int) -> tuple:
+    """(exact acceptance probability, term signs, iterator over the shots).
 
-    Equivalent, bit for bit, to ``play_round(h, psi, shot_rng(seed, i))``
-    for i in range(shots).  The rounds are evaluated vectorized, SHOT_CHUNK
-    shots at a time: each chunk reads the next SHOT_CHUNK counter blocks of
-    the one ``Philox(key=seed)`` stream (the blocks ``shot_rng`` reaches by
-    ``advance``) and adds to an integer count of accepted rounds.  Per-round
-    records are kept when ``record_rounds`` is true, or by default when
-    shots <= ROUND_RECORD_LIMIT.  Working memory is O(SHOT_CHUNK + T + 2^n)
-    for T terms on n qubits, plus O(shots) for the records when kept.
+    Every check runs before this returns.  The iterator yields arrays
+    ``(term_idx, plus, accepted)`` for the next SHOT_CHUNK counter blocks of
+    ``Philox(key=seed)``: shot i is ``play_round(h, psi, shot_rng(seed, i))``.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     signs, probs = term_distribution(h)
     expectations = _term_expectations(h, psi)
     exact = _accept_prob(h, signs, probs, expectations)
-    if record_rounds is None:
-        record_rounds = shots <= ROUND_RECORD_LIMIT
-
-    draw = _TermDraw(probs, shots)
-    p_plus = 0.5 * (1.0 + expectations)
     # A round is accepted iff its outcome bit (u < p_plus) equals its term's
     # entry here: 1 for a positive coefficient, 0 for a negative one and 2,
     # which no bit equals, for a zero one.
     accepting_bit = np.where(signs == 0, 2, signs > 0).astype(np.int8)
+    draw = _TermDraw(probs, shots)
+    p_plus = 0.5 * (1.0 + expectations)
+    return exact, signs, _shot_chunks(draw, p_plus, accepting_bit, shots, seed)
+
+
+def _shot_chunks(draw, p_plus, accepting_bit, shots, seed):
     rng = np.random.Generator(np.random.Philox(key=seed))
     uniforms = np.empty((min(shots, SHOT_CHUNK), 4))
-    accepted_count = 0
-    chunks = []
     for start in range(0, shots, SHOT_CHUNK):
         u = rng.random(out=uniforms[: min(SHOT_CHUNK, shots - start)])
         term_idx = draw(u[:, 0])
         plus = u[:, 1] < p_plus[term_idx]
-        accepted = plus == accepting_bit[term_idx]
+        yield term_idx, plus, plus == accepting_bit[term_idx]
+
+
+def simulate(h: Hamiltonian, psi: StateVector, shots: int, seed: int) -> GameTranscript:
+    """Seed-deterministic transcript of many rounds.
+
+    Equivalent, bit for bit, to ``play_round(h, psi, shot_rng(seed, i))``
+    for i in range(shots): it counts the accepted rounds of ``shot_chunks``
+    and keeps per-round records when shots <= ROUND_RECORD_LIMIT.  Working
+    memory is O(SHOT_CHUNK + T + 2^n) for T terms on n qubits.
+    """
+    exact, signs, chunks = shot_chunks(h, psi, shots, seed)
+    pauli = functools.cache(h.pauli)  # one PauliString per sampled term
+    accepted_count, rounds = 0, []
+    for term_idx, plus, accepted in chunks:
         accepted_count += int(np.count_nonzero(accepted))
-        if record_rounds:
-            chunks.append((term_idx, plus, accepted))
+        if shots <= ROUND_RECORD_LIMIT:
+            terms = map(pauli, term_idx.tolist())
+            outcomes = np.where(plus, 1, -1).tolist()
+            rounds += map(GameRound, terms, signs[term_idx].tolist(), outcomes, accepted.tolist())
 
     freq = accepted_count / shots
-    rounds = ()
-    if record_rounds:
-        term_idx, plus, accepted = (np.concatenate(c) for c in zip(*chunks))
-        # one PauliString per sampled term, shared by its rounds
-        terms = {t: h.pauli(t) for t in np.unique(term_idx).tolist()}
-        rounds = tuple(
-            GameRound(terms[t], s, o, a)
-            for t, s, o, a in zip(
-                term_idx.tolist(),
-                signs[term_idx].tolist(),
-                np.where(plus, 1, -1).tolist(),
-                accepted.tolist(),
-            )
-        )
     return GameTranscript(
-        rounds=rounds,
+        rounds=tuple(rounds),
         shots=shots,
         accept_frequency=freq,
         std_error=math.sqrt(freq * (1.0 - freq) / shots),

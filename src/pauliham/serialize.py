@@ -4,9 +4,9 @@ Hamiltonian files:
 
     {"n": 2, "terms": [{"pauli": "XX", "coeff": 1.0}, ...]}
 
-Terms are saved in canonical label order and duplicate labels merge by
-summation on load; unknown top-level keys (e.g. embedded run configs) are
-ignored.  State files:
+Terms are saved in canonical label order, written TERM_CHUNK terms at a
+time, and duplicate labels merge by summation on load; unknown top-level
+keys (e.g. embedded run configs) are ignored.  State files:
 
     {"n": 1, "amplitudes": [[re, im], ...]}
 
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from pathlib import Path
 from typing import Any
 
@@ -27,12 +28,16 @@ from .paulis import (
     DimensionMismatchError,
     Hamiltonian,
     PauliParseError,
+    format_labels,
     parse_labels,
     parse_pauli,
 )
 from .spectra import StateVector
 
 STATE_NORM_TOLERANCE = 1e-6
+
+# hamiltonian_json formats the term list this many terms at a time.
+TERM_CHUNK = 1 << 14
 
 
 class SchemaError(ValueError):
@@ -133,50 +138,50 @@ def hamiltonian_to_jsonable(h: Hamiltonian) -> dict:
     }
 
 
-def _terms_json(h: Hamiltonian) -> str:
-    """The "terms" list as json.dumps(indent=2) writes it one level down."""
+def _terms_json(h: Hamiltonian) -> Iterator[str]:
+    """The "terms" list as json.dumps(indent=2) writes it one level down, in pieces."""
     if h.is_zero():
-        return "[]"
-    bits, index = np.unique(h.coeffs.view(np.int64), return_inverse=True)
-    if 2 * len(bits) <= len(index):
-        # Expanded operators repeat few distinct coefficients: format each
-        # one (by its bits, so 0.0 and -0.0 stay apart) once.
-        distinct = [repr(c) for c in bits.view(np.float64).tolist()]
-        reprs = [distinct[i] for i in index.tolist()]
-    else:
-        reprs = map(repr, h.coeffs.tolist())
-    items = ",\n".join(
-        f'    {{\n      "coeff": {c},\n      "pauli": "{p}"\n    }}'
-        for p, c in zip(h.labels(), reprs)
-    )
-    return f"[\n{items}\n  ]"
+        yield "[]"
+        return
+    # Expanded operators repeat few distinct coefficients: format each one
+    # (by its bits, so 0.0 and -0.0 stay apart) once.
+    bits = np.unique(h.coeffs.view(np.int64))
+    few = 2 * len(bits) <= h.num_terms
+    table = np.array([repr(c) for c in bits.view(np.float64).tolist()] if few else [], object)
+    for start in range(0, h.num_terms, TERM_CHUNK):
+        part = slice(start, start + TERM_CHUNK)
+        chunk = h.coeffs[part]
+        reprs = table[np.searchsorted(bits, chunk.view(np.int64))] if few else map(repr, chunk.tolist())
+        items = ",\n".join(
+            f'    {{\n      "coeff": {c},\n      "pauli": "{p}"\n    }}'
+            for p, c in zip(format_labels(h.x[part], h.z[part], h.n), reprs)
+        )
+        yield ("[\n" if start == 0 else ",\n") + items
+    yield "\n  ]"
 
 
-def hamiltonian_json(h: Hamiltonian, extra: dict | None = None) -> str:
-    """Text of the Hamiltonian document, plus ``extra`` top-level keys.
+def hamiltonian_json(h: Hamiltonian, extra: dict | None = None) -> Iterator[str]:
+    """Pieces of ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline, byte for byte.
 
-    Byte for byte ``json.dumps(doc, indent=2, sort_keys=True)`` of
-    ``hamiltonian_to_jsonable(h)`` updated with ``extra``, but the term
-    list is written straight from the label and coefficient columns
-    (unless ``extra`` replaces it).
+    ``doc`` is ``hamiltonian_to_jsonable(h)`` updated with ``extra``; the term
+    list is written from the columns, TERM_CHUNK terms per piece.
     """
     extra = extra or {}
     doc = {"n": h.n, "terms": None, **extra}
-    fields = []
-    for key in sorted(doc):
+    for i, key in enumerate(sorted(doc)):
+        yield ("," if i else "{") + f"\n  {json.dumps(key)}: "
         if key == "terms" and "terms" not in extra:
-            value = _terms_json(h)
+            yield from _terms_json(h)
         else:
             # one level down: every line after the first moves in by two spaces
-            value = json.dumps(doc[key], indent=2, sort_keys=True).replace("\n", "\n  ")
-        fields.append(f"  {json.dumps(key)}: {value}")
-    return "{\n" + ",\n".join(fields) + "\n}"
+            yield json.dumps(doc[key], indent=2, sort_keys=True).replace("\n", "\n  ")
+    yield "\n}\n"
 
 
 def save_hamiltonian(h: Hamiltonian, path: "str | Path", *, extra: dict | None = None) -> None:
     """Write a Hamiltonian in canonical term order; deterministic bytes."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(hamiltonian_json(h, extra) + "\n")
+        fh.writelines(hamiltonian_json(h, extra))
 
 
 def load_state(path: "str | Path") -> StateVector:

@@ -2,8 +2,11 @@
 
 The term cap, the dense limit and the two tolerances are each set in one
 place (``paulis.DEFAULT_TERM_CAP``, ``spectra.DEFAULT_DENSE_LIMIT``,
-``paulis.DEFAULT_PRUNE_TOLERANCE`` and ``paulis._IMAG_TOLERANCE``).  This
-sweep keeps a keyword or an instance field for them from coming back.
+``paulis.DEFAULT_PRUNE_TOLERANCE`` and ``paulis._IMAG_TOLERANCE``), and
+``simulate`` keeps per-round records by one rule (shots <=
+``game.ROUND_RECORD_LIMIT``); callers that want every shot read
+``shot_chunks``.  This sweep keeps a keyword or an instance field for them
+from coming back.
 """
 
 import inspect
@@ -11,7 +14,7 @@ import inspect
 import pauliham
 from pauliham import Hamiltonian
 
-REMOVED = {"term_cap", "dense_limit", "prune_tolerance", "imag_tolerance"}
+REMOVED = {"term_cap", "dense_limit", "prune_tolerance", "imag_tolerance", "record_rounds"}
 
 
 def _public_callables():

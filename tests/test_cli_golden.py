@@ -3,7 +3,7 @@
 The files under ``tests/golden/`` pin exact bytes: key order, float
 formatting, term order and the embedded config.  Paths are relative to
 the working directory so the recorded config does not depend on where
-tests run.
+tests run.  Every case is run twice: with ``--out`` and to stdout.
 
 ``inputs/h6.json`` lists its terms out of canonical order and repeats one
 label, so the game and sparsify cases pin the canonical term order that
@@ -58,6 +58,10 @@ CASES = {
         "sparsify", "--ham", "h6.json", "--m", "200", "--delta", "1.0", "--trials", "3",
         "--seed", "5",
     ],
+    "sparsify_h6.csv": [
+        "sparsify", "--ham", "h6.json", "--m", "200", "--delta", "1.0", "--trials", "3",
+        "--seed", "5", "--format", "csv",
+    ],
     "norms_h6.json": ["norms", "--ham", "h6.json"],
     "norms_unit.json": ["norms", "--ham", "unit.json"],
     "spectrum_h6.json": ["spectrum", "--ham", "h6.json"],
@@ -82,6 +86,22 @@ def run_case(name: str, directory: Path) -> bytes:
 def test_output_bytes_unchanged(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run_case(name, tmp_path) == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_bytes_unchanged(name, tmp_path, monkeypatch, capsysbinary):
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path)
+    inputs = sorted(tmp_path.iterdir())
+    assert main(CASES[name]) == 0
+    expected = (GOLDEN / name).read_bytes()
+    if name.endswith(".json"):
+        # the recorded config names the --out file; without one it is null
+        out = f'"out": "{name}"'.encode()
+        assert expected.count(out) == 1
+        expected = expected.replace(out, b'"out": null')
+    assert capsysbinary.readouterr().out == expected
+    assert sorted(tmp_path.iterdir()) == inputs  # no file and no sidecar log
 
 
 # Extra keys sort around "n" and "terms"; the strings hold the word

@@ -14,6 +14,7 @@ from pauliham.game import (
     accept_prob_exact,
     play_round,
     sample_term,
+    shot_chunks,
     shot_rng,
     simulate,
 )
@@ -239,8 +240,9 @@ class TestSimulate:
         t = simulate(_z(), StateVector.basis(1, 0), 20_000, seed=2)
         assert t.rounds == ()
         assert t.accept_frequency == 1.0
-        forced = simulate(_z(), StateVector.basis(1, 0), 20_000, seed=2, record_rounds=True)
-        assert len(forced.rounds) == 20_000
+        _, _, chunks = shot_chunks(_z(), StateVector.basis(1, 0), 20_000, seed=2)
+        counts = [(len(accepted), int(accepted.sum())) for _, _, accepted in chunks]
+        assert np.sum(counts, axis=0).tolist() == [20_000, 20_000]
 
     def test_shots_validated(self):
         with pytest.raises(ValueError):
@@ -279,18 +281,34 @@ class TestStreamedShots:
 
     @pytest.mark.parametrize("record", [False, True])
     def test_chunk_size_invariance(self, instance, record, monkeypatch):
+        # record=True checks the per-shot arrays that replaced per-round records
         h, psi = instance
-        reference = simulate(h, psi, 100_000, seed=13, record_rounds=record)
-        assert len(reference.rounds) == (100_000 if record else 0)
+
+        def run():
+            if not record:
+                return simulate(h, psi, 100_000, seed=13)
+            _, _, chunks = shot_chunks(h, psi, 100_000, seed=13)
+            return [np.concatenate(column) for column in zip(*chunks)]
+
+        reference = run()
+        if record:
+            assert all(len(column) == 100_000 for column in reference)
+        else:
+            assert reference.rounds == ()
         for chunk in (1, 3, 4096):
             monkeypatch.setattr(game, "SHOT_CHUNK", chunk)
-            assert simulate(h, psi, 100_000, seed=13, record_rounds=record) == reference
+            result = run()
+            if record:
+                for column, expected in zip(result, reference):
+                    assert np.array_equal(column, expected)
+            else:
+                assert result == reference
 
     def test_memory_independent_of_shots(self, instance):
         h, psi = instance
         tracemalloc.start()
         try:
-            simulate(h, psi, 2_000_000, seed=1, record_rounds=False)
+            simulate(h, psi, 2_000_000, seed=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -2,6 +2,7 @@
 writer and the term draw rule."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import pauliham.serialize as serialize  # noqa: E402
 from pauliham.paulis import (  # noqa: E402
     Hamiltonian,
     _TermDraw,
@@ -130,23 +132,29 @@ extra_keys = st.dictionaries(
 
 
 @PROPERTY
-@given(hamiltonians(max_n=20), extra_keys, st.dictionaries(tricky_text, tricky_text | json_values, max_size=4))
-def test_writer_matches_json_dumps(h, extra, config):
+@given(
+    hamiltonians(max_n=20),
+    extra_keys,
+    st.dictionaries(tricky_text, tricky_text | json_values, max_size=4),
+    st.sampled_from([1, 5, serialize.TERM_CHUNK]),
+)
+def test_writer_matches_json_dumps(h, extra, config, term_chunk):
     extra = dict(extra, config=config)
     doc = dict(hamiltonian_to_jsonable(h), **extra)
-    assert hamiltonian_json(h, extra) == json.dumps(doc, indent=2, sort_keys=True)
+    with mock.patch.object(serialize, "TERM_CHUNK", term_chunk):
+        assert "".join(hamiltonian_json(h, extra)) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 @PROPERTY
 @given(hamiltonians(max_n=8), st.sampled_from([{}, {"n": 99}, {"terms": []}, {"terms": "x", "n": "y"}]))
 def test_writer_override_keys(h, extra):
     doc = dict(hamiltonian_to_jsonable(h), **extra)
-    assert hamiltonian_json(h, extra) == json.dumps(doc, indent=2, sort_keys=True)
+    assert "".join(hamiltonian_json(h, extra)) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def test_writer_zero_hamiltonian():
     h = Hamiltonian.from_columns(3, np.zeros((0, 1)), np.zeros((0, 1)), [])
-    assert hamiltonian_json(h) == json.dumps({"n": 3, "terms": []}, indent=2, sort_keys=True)
+    assert "".join(hamiltonian_json(h)) == json.dumps({"n": 3, "terms": []}, indent=2, sort_keys=True) + "\n"
 
 
 weight_lists = st.one_of(

@@ -1,9 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import pauliham.serialize as serialize
 from pauliham.cli import EXIT_CONVERGENCE, main
 from pauliham.paulis import (
     Hamiltonian,
@@ -434,3 +436,60 @@ class TestCli:
         ]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["exact_probability"] == pytest.approx(0.8535533905932737, abs=1e-9)
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedOutput:
+    def test_game_csv_memory_independent_of_shots(self, tmp_path):
+        ham = tmp_path / "h.json"
+        _write_ham(ham, {"XZ": 0.5, "ZI": -0.3, "YY": 0.2})
+        out = tmp_path / "g.csv"
+
+        def peak(shots):
+            argv = [
+                "game", "--ham", str(ham), "--state", "top-eig", "--shots", str(shots),
+                "--seed", "1", "--format", "csv", "--out", str(out),
+            ]
+            code, traced = _traced_peak(main, argv)
+            assert code == 0
+            return traced
+
+        small, large = peak(200_000), peak(2_000_000)
+        with open(out) as fh:
+            assert sum(1 for _ in fh) == 2_000_001
+        # rows are written one shot chunk at a time; holding every round
+        # before writing would take hundreds of MB at 2e6 shots
+        assert large < small + 2**20
+
+    def test_failing_csv_game_writes_nothing(self, tmp_path):
+        ham, psi, out = tmp_path / "h.json", tmp_path / "psi.json", tmp_path / "g.csv"
+        _write_ham(ham, {"ZZ": 1.0})
+        save_state(StateVector.basis(1, 0), psi)  # one qubit against two
+        argv = ["game", "--ham", str(ham), "--seed", "1", "--format", "csv", "--out", str(out)]
+        assert main(argv + ["--state", "top-eig", "--shots", "0"]) == 2
+        assert main(argv + ["--state", str(psi), "--shots", "10"]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["h.json", "psi.json"]
+
+    def test_save_hamiltonian_memory_independent_of_terms(self, tmp_path, monkeypatch):
+        h = hadamard_power(16)  # 65,536 terms, 1.5 MiB of columns
+        save_hamiltonian(hadamard_power(2), tmp_path / "warm.json")
+        monkeypatch.setattr(serialize, "TERM_CHUNK", 1024)
+        chunked = tmp_path / "chunked.json"
+        _, peak = _traced_peak(save_hamiltonian, h, chunked)
+        # The text is held 1024 terms at a time; what grows with the term
+        # count is the sorted copy of the coefficient bits for the table of
+        # distinct coefficients, 8 B/term.  The whole text would take 19 MB.
+        assert peak < 2**20
+        monkeypatch.setattr(serialize, "TERM_CHUNK", 1 << 20)
+        whole = tmp_path / "whole.json"
+        save_hamiltonian(h, whole)
+        assert chunked.read_bytes() == whole.read_bytes()
