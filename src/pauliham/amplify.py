@@ -188,11 +188,14 @@ def verify_amplification(
     instances.
 
     Raises:
-        ValueError: ||H|| > 1, with amplify's message.
+        ValueError: ||H|| > 1, with amplify's message, or ``eigen_tol`` is
+            NaN or negative.
         CapacityError: n > 2 * DEFAULT_DENSE_LIMIT, or the term cap
             ``paulis.DEFAULT_TERM_CAP`` is exceeded.
         ConvergenceError: an eigensolve did not converge.
     """
+    if not eigen_tol >= 0.0:  # also refuses NaN, which would fail every check
+        raise ValueError(f"eigen_tol must be >= 0, got {eigen_tol}")
     report = amplification_bounds(params)
     k = params.k
 

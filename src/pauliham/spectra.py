@@ -17,15 +17,26 @@ real diagonal followed by one gather:
 
 A group whose terms carry an odd number of Y factors is purely imaginary
 (the (-i) above), so each group is split by that parity and every
-diagonal stays real.  The kernel never materialises a matrix.
+diagonal stays real.  The kernel never materialises a matrix, nor any
+work array of the vector's length: it builds H v one cache-sized block of
+2^13 amplitudes at a time, adding each group's share to the block in turn.
+A block starting at ``a`` reads one contiguous slice of v, permuted
+within the block, and its row of d_x depends on ``a`` only through the
+parities popcount(z_t & a) & 1 of the group's terms.  Each distinct row
+is built once and memoised while the rows fit a byte budget: half the
+input vector's bytes in ``matvec``, the dense budget below in the solver.
+Every output element gets the same float operations in the same order
+as one full-vector pass per group, so the results do not depend on the
+block size.
 
 ``DEFAULT_DENSE_LIMIT`` (``PAULIHAM_DENSE_LIMIT``, default 12, read at
 import; the functions read the constant when they run) sets one byte
 budget, 16 * 4^limit bytes, which is what :func:`to_dense` needs at
 n = limit.  It bounds ``to_dense`` itself, and caps the solver's Krylov
-basis and its kept diagonals; a basis that fills up restarts from its
-extremal Ritz vectors.  The solver refuses n > 2 * limit, where one 2^n
-vector alone is over it.  No function takes the limit as an argument.
+basis and the diagonal rows its kernel memoises; a basis that fills up
+restarts from its extremal Ritz vectors.  The solver refuses
+n > 2 * limit, where one 2^n vector alone is over it.  No function takes
+the limit as an argument.
 ``to_dense`` is the brute-force oracle the tests check the solver against,
 and the sparsification experiment's exact deviation.
 """
@@ -59,6 +70,9 @@ _BREAKDOWN = 1e-12
 _MIN_BASIS = 8
 # Krylov vectors are allocated in blocks of at most this many bytes.
 _BLOCK_BYTES = 1 << 22
+# The matvec kernel builds H v in blocks of 2^13 amplitudes (128 KiB of
+# complex), so that a block and the inputs it gathers stay in cache.
+_KERNEL_BLOCK_BITS = 13
 
 
 class ConvergenceError(RuntimeError):
@@ -182,60 +196,143 @@ def to_dense(h: Hamiltonian) -> np.ndarray:
 
 
 class _GroupedKernel:
-    """H v as one real diagonal and one gather per (x mask, Y parity) group.
+    """H v one block of 2^_KERNEL_BLOCK_BITS amplitudes at a time.
 
-    Diagonals are kept between calls when all of them fit in
-    ``keep_bytes``; otherwise each call rebuilds them one at a time in a
-    shared buffer.  Every pass writes into preallocated buffers, so a call
-    allocates nothing but its output.
+    For each block of the output, each (x mask, Y parity) group in sorted
+    order adds its diagonal row times its gathered inputs, so the block,
+    its row and its inputs stay in cache.  The block starting at ``a``
+    reads the contiguous inputs ``v[a ^ x_hi :]``, permuted by the in-block
+    index ``j ^ x_lo``.  Its row depends on ``a`` only through the group's
+    parity pattern, the bits popcount(z_t & a) & 1 of its terms, so each
+    distinct (group, pattern) row is built once, on the indices of the
+    first block that needs it, and memoised while the rows fit in
+    ``keep_bytes``; the rest are rebuilt in a shared buffer whenever a
+    block needs them.  Each output element gets the same float operations,
+    in the same order, as a full-vector pass per group would give it.
     """
 
-    def __init__(self, h: Hamiltonian, keep_bytes: int = 0):
+    def __init__(self, h: Hamiltonian, keep_bytes: int):
         dim = 1 << h.n
         groups: dict[tuple[int, int], list[tuple[int, float]]] = {}
         for x, z, c in _term_columns(h):
             y = (x & z).bit_count()
             # (-i)^y = (-1)^(y // 2) for even y, and that times -i for odd y
             groups.setdefault((x, y & 1), []).append((z, -c if y & 2 else c))
+        ordered = sorted(groups.items())
+        size = min(dim, 1 << _KERNEL_BLOCK_BITS)
+        low = size - 1
         self.dim = dim
-        self._groups = sorted(groups.items())
-        self._index = np.arange(dim, dtype=np.intp)
-        self._gather = np.empty(dim, dtype=np.intp)
-        self._parity = np.empty(dim, dtype=np.uint8)
-        self._gathered = np.empty(dim, dtype=np.complex128)
-        self._diagonal = np.empty(dim)
-        self._kept = None
-        if len(self._groups) * dim * self._diagonal.itemsize <= keep_bytes:
-            self._kept = [self._fill(terms, np.empty(dim)) for _, terms in self._groups]
+        self._size = size
+        self._groups = [(x & ~low, x & low, odd) for (x, odd), _ in ordered]
+        self._terms = [terms for _, terms in ordered]
+        self._slots, self._first = _row_slots(self._terms, size, dim // size)
+        self._rows: list[np.ndarray | None] = [None] * len(self._first)
+        self._row_bytes = 8 * size
+        self._keep_bytes = keep_bytes
+        self.kept_bytes = 0  # bytes of memoised rows, never above keep_bytes
+        self._in_block = np.arange(size, dtype=np.intp)
+        self._index = np.empty(size, dtype=np.intp)
+        self._masked = np.empty(size, dtype=np.intp)
+        self._parity = np.empty(size, dtype=np.uint8)
+        self._step = np.empty(size)
+        self._gathered = np.empty(size, dtype=np.complex128)
+        self._scratch_row = np.empty(size)
 
-    def _fill(self, terms: list[tuple[int, float]], out: np.ndarray) -> np.ndarray:
-        """out[i] = sum_t c_t (-1)^popcount(z_t & i)."""
-        out.fill(sum(c for _, c in terms))
-        parity = self._parity
+    def _row(self, slot: int) -> np.ndarray:
+        """Diagonal row of one (group, pattern) slot, memoised if it fits.
+
+        row[j] = sum_t c_t (-1)^popcount(z_t & (a + j)) for the slot's first
+        block ``a``: filled with sum_t c_t, then 2 c_t subtracted term by
+        term where the parity is odd.  A masked subtract costs one step per
+        run of the mask, so for a mask of 2048 runs or more (z_t's lowest
+        bit at most size / 2048) the row subtracts a looked-up 2 c_t or
+        +0.0, which changes no bit, from every element instead.
+        """
+        size = self._size
+        keep = self.kept_bytes + self._row_bytes <= self._keep_bytes
+        row = np.empty(size) if keep else self._scratch_row
+        group, start = self._first[slot]
+        terms = self._terms[group]
+        row.fill(sum(c for _, c in terms))
+        index = self._in_block
+        if start:
+            index = np.bitwise_or(index, start, out=self._index)
+        masked, parity, step = self._masked, self._parity, self._step
         for z, c in terms:
-            if z:
-                np.bitwise_and(self._index, z, out=self._gather)
-                np.bitwise_count(self._gather, out=parity)
+            if not z:
+                continue
+            np.bitwise_and(index, z, out=masked)
+            if size >= 2048 * (z & -z):
+                np.bitwise_count(masked, out=masked)
+                np.bitwise_and(masked, 1, out=masked)
+                np.take((0.0, 2.0 * c), masked, out=step, mode="wrap")
+                np.subtract(row, step, out=row)
+            else:
+                np.bitwise_count(masked, out=parity)
                 np.bitwise_and(parity, 1, out=parity)
-                np.subtract(out, 2.0 * c, out=out, where=parity.view(np.bool_))
-        return out
+                np.subtract(row, 2.0 * c, out=row, where=parity.view(np.bool_))
+        if keep:
+            self._rows[slot] = row
+            self.kept_bytes += self._row_bytes
+        return row
 
     def apply(self, v: np.ndarray) -> np.ndarray:
+        size, rows = self._size, self._rows
+        in_block, index, vals = self._in_block, self._index, self._gathered
+        whole = size == self.dim  # one block: its inputs are all of v
+        # local names: the loop below runs once per (block, group)
+        xor, take, multiply, add = np.bitwise_xor, np.take, np.multiply, np.add
         out = np.zeros(self.dim, dtype=np.complex128)
-        vals = self._gathered
-        for k, ((x, odd), terms) in enumerate(self._groups):
-            diag = self._kept[k] if self._kept is not None else self._fill(terms, self._diagonal)
-            if x:
-                np.bitwise_xor(self._index, x, out=self._gather)
-                # the indices are in range; "wrap" skips the copy "raise" makes
-                np.take(v, self._gather, out=vals, mode="wrap")
-                np.multiply(vals, diag, out=vals)
-            else:
-                np.multiply(v, diag, out=vals)
-            if odd:
-                np.multiply(vals, -1j, out=vals)
-            np.add(out, vals, out=out)
+        for start, slots in zip(range(0, self.dim, size), self._slots):
+            block = out[start : start + size]
+            for (x_hi, x_lo, odd), slot in zip(self._groups, slots.tolist()):
+                row = rows[slot]
+                if row is None:
+                    row = self._row(slot)
+                src = v if whole else v[start ^ x_hi : (start ^ x_hi) + size]
+                if x_lo:
+                    xor(in_block, x_lo, out=index)
+                    # the indices are in range; "wrap" skips the copy "raise" makes
+                    take(src, index, out=vals, mode="wrap")
+                    multiply(vals, row, out=vals)
+                else:
+                    multiply(src, row, out=vals)
+                if odd:
+                    multiply(vals, -1j, out=vals)
+                add(block, vals, out=block)
         return out
+
+
+def _row_slots(
+    terms: list[list[tuple[int, float]]], size: int, blocks: int
+) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Which distinct diagonal row each (block, group) pair uses.
+
+    Returns ``slots[b][g]``, the row slot of group g in block b, and for
+    every slot its (group, first block start).  Blocks share a slot when
+    the group's terms have the same parity pattern popcount(z_t & a) & 1
+    at their starts a.  The patterns are computed for all terms and blocks
+    at once and compared as bytes, so any number of terms fits a key.
+    """
+    if blocks == 1:
+        return np.arange(len(terms)).reshape(1, -1), [(g, 0) for g in range(len(terms))]
+    starts = np.cumsum([0] + [len(group) for group in terms]).tolist()
+    high = np.array([z for group in terms for z, _ in group], dtype=np.uint64) // np.uint64(size)
+    # (blocks, terms): z_t & a = (high_t & b) * size for the start a = b * size
+    patterns = np.bitwise_count(high & np.arange(blocks, dtype=np.uint64)[:, None]) & 1
+    slots = np.empty((blocks, len(terms)), dtype=np.int32)
+    first: list[tuple[int, int]] = []
+    for g, (lo, hi) in enumerate(zip(starts, starts[1:])):
+        raw = patterns[:, lo:hi].tobytes()
+        seen: dict[bytes, int] = {}
+        for b in range(blocks):
+            key = raw[b * (hi - lo) : (b + 1) * (hi - lo)]
+            slot = seen.get(key)
+            if slot is None:
+                slot = seen[key] = len(first)
+                first.append((g, b * size))
+            slots[b, g] = slot
+    return slots, first
 
 
 def matvec(h: Hamiltonian, v: "StateVector | np.ndarray") -> np.ndarray:
@@ -245,7 +342,8 @@ def matvec(h: Hamiltonian, v: "StateVector | np.ndarray") -> np.ndarray:
         raise DimensionMismatchError(
             f"vector of shape {arr.shape} does not match n={h.n}"
         )
-    return _GroupedKernel(h).apply(arr)
+    # memoised rows may take half the bytes of the input vector
+    return _GroupedKernel(h, keep_bytes=arr.nbytes // 2).apply(arr)
 
 
 def pauli_expectation(p: PauliString, psi: StateVector) -> float:
@@ -342,11 +440,14 @@ def extremal_eigs(
     normalised sum of the two extremal Ritz vectors.
 
     Raises:
+        ValueError: ``tol`` is NaN or negative, or ``max_iters`` < 1.
         CapacityError: n > 2 * DEFAULT_DENSE_LIMIT, where one vector alone
             exceeds the budget.
     """
     if h.is_zero():
         raise ValueError("extremal_eigs needs a nonzero Hamiltonian")
+    if not tol >= 0.0:  # also refuses NaN, which no residual is ever <= to
+        raise ValueError(f"tol must be >= 0, got {tol}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     budget = _dense_budget(DEFAULT_DENSE_LIMIT)

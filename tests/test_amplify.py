@@ -288,6 +288,16 @@ class TestVerifyAmplification:
         assert report.promise_case == "none"
         assert not report.all_bounds_hold
 
+    @pytest.mark.parametrize("eigen_tol", [math.nan, -1.0])
+    def test_eigen_tol_must_be_a_nonnegative_number(self, eigen_tol):
+        # a NaN tolerance fails every eigenvalue check: "verification failed"
+        with pytest.raises(ValueError, match="eigen_tol must be >= 0"):
+            verify_amplification(
+                Hamiltonian.from_labels({"Z": 1.0}),
+                AmplifyParams(k=3, p=math.inf, q=5.0),
+                eigen_tol=eigen_tol,
+            )
+
     def test_norm_only_beyond_dense_limit(self, limits):
         limits(dense_limit=2)
         report = verify_amplification(

@@ -173,6 +173,19 @@ class TestCli:
         assert code == 4
         assert doc["all_bounds_hold"] is False
 
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    def test_nan_or_negative_tolerance_exits_2(self, tmp_path, capsys, value):
+        h = tmp_path / "h.json"
+        out = tmp_path / "out.json"
+        _write_ham(h, {"Z": 1.0})
+        assert main(["spectrum", "--ham", str(h), "--tol", value, "--out", str(out)]) == 2
+        assert "tol must be >= 0" in capsys.readouterr().err
+        argv = ["verify-lemma", "--ham", str(h), "--p", "inf", "--q", "5", "--k", "3"]
+        assert main(argv + ["--eigen-tol", value, "--out", str(out)]) == 2
+        assert "eigen_tol must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(argv) == 0  # the same run with the default tolerance verifies
+
     def test_spectrum(self, tmp_path, capsys):
         h = tmp_path / "h.json"
         _write_ham(h, {"XX": 1.0, "ZZ": 1.0})

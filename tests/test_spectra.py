@@ -1,6 +1,10 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import pauliham.spectra as spectra
 from pauliham.amplify import amplify
 from pauliham.paulis import (
     CapacityError,
@@ -245,6 +249,13 @@ class TestExtremalEigs:
         with pytest.raises(ValueError, match="max_iters"):
             extremal_eigs(random_hamiltonian(rng, 2), max_iters=0)
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0])
+    def test_tol_must_be_a_nonnegative_number(self, tol):
+        # no residual is <= NaN or a negative tol, so such a solve would run
+        # the whole Krylov space and then report itself unconverged
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            extremal_eigs(random_local(9, 3, 30, seed=1), tol=tol)
+
 
 class TestLanczosOracle:
     """The solver against eigvalsh(to_dense(h)) across operator families."""
@@ -337,6 +348,65 @@ class TestLanczosOracle:
         assert (res.lambda_max, res.lambda_min) == pytest.approx((hi, lo), abs=1e-9)
 
 
+def _reference_matvec(h, v):
+    """H v by one full-length diagonal and one full-length gather per group.
+
+    The formula the blocked kernel must reproduce bit for bit: groups by
+    (x mask, Y parity) in sorted order, each diagonal filled with the sum of
+    its coefficients and then 2 c subtracted, term by term, where the
+    parity of z & i is odd.
+    """
+    groups = {}
+    for x, z, c in zip(h.x[:, 0].tolist(), h.z[:, 0].tolist(), h.coeffs.tolist()):
+        y = (x & z).bit_count()
+        groups.setdefault((x, y & 1), []).append((z, -c if y & 2 else c))
+    index = np.arange(1 << h.n)
+    out = np.zeros(1 << h.n, dtype=np.complex128)
+    for (x, odd), terms in sorted(groups.items()):
+        diag = np.full(1 << h.n, sum(c for _, c in terms))
+        for z, c in terms:
+            if z:
+                odd_parity = (np.bitwise_count(index & z) & 1).astype(bool)
+                np.subtract(diag, 2.0 * c, out=diag, where=odd_parity)
+        vals = v[index ^ x] * diag
+        if odd:
+            vals = vals * -1j
+        out += vals
+    return out
+
+
+def _bits_equal(a, b):
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _straddling_hamiltonian(rng):
+    """Terms at n = block bits + 2 (four blocks) that exercise every kernel path."""
+    n = spectra._KERNEL_BLOCK_BITS + 2
+    top, edge = 1 << (n - 1), 1 << (n - 2)  # the two block-index bits
+    below = edge >> 1  # highest in-block bit
+    pairs = [
+        (0, 0),  # identity
+        (below | edge, (below >> 1) | top),  # x and z straddle the boundary
+        (edge | 1, edge),  # one Y: odd parity
+        (below | edge, below | edge),  # two Ys: even parity
+        (top, top | 1),
+        (0, edge | top | 5),  # diagonal only, low and high z bits
+        (3, 0),
+    ]
+    # one x mask with 10 terms whose z masks avoid x, so they form one
+    # even group; their high z bits are 0 or the top bit only, so blocks 0
+    # and 1 (and 2 and 3) share each row
+    shared = edge | 4
+    pairs += [(shared, z) for z in (0, 1, 2, 3, 8, 9, below, top, top | 1, top | 3)]
+    return Hamiltonian.from_pairs(
+        n, [(PauliString(n, x, z), float(rng.uniform(-1.0, 1.0))) for x, z in pairs]
+    )
+
+
+def _random_vector(rng, n):
+    return rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+
+
 class TestGroupedKernel:
     def test_matvec_matches_dense_at_larger_n(self, rng):
         for n in (7, 9):
@@ -351,6 +421,71 @@ class TestGroupedKernel:
         )
         psi = StateVector.normalized(2, [1.0, 2.0 - 1.0j, -0.5j, 0.3])
         assert np.max(np.abs(matvec(h, psi) - kron_dense(h) @ psi.amplitudes)) < 1e-12
+
+    def test_blocks_bit_identical_to_full_vector_formula(self, rng):
+        h = _straddling_hamiltonian(rng)
+        v = _random_vector(rng, h.n)
+        want = _reference_matvec(h, v)
+        assert _bits_equal(matvec(h, v), want)
+        blocks = 1 << (h.n - spectra._KERNEL_BLOCK_BITS)
+        # every row memoised, then none: the memo changes no bit
+        kept = spectra._GroupedKernel(h, keep_bytes=1 << 30)
+        assert len(kept._first) < blocks * len(kept._groups)  # blocks share rows
+        assert _bits_equal(kept.apply(v), want)
+        assert _bits_equal(kept.apply(v), want)  # from the filled memo
+        assert _bits_equal(spectra._GroupedKernel(h, keep_bytes=0).apply(v), want)
+
+    @pytest.mark.parametrize("n", [spectra._KERNEL_BLOCK_BITS - 3, spectra._KERNEL_BLOCK_BITS + 2])
+    def test_random_terms_bit_identical(self, rng, n):
+        for h in (
+            random_local(n, 4, 60, seed=int(rng.integers(2**31))),
+            random_hamiltonian(rng, n, max_terms=30, include_identity=True),
+        ):
+            v = _random_vector(rng, n)
+            assert _bits_equal(matvec(h, v), _reference_matvec(h, v))
+
+    def test_matvec_working_memory_within_input_size(self, rng):
+        h = random_local(18, 2, 36, seed=1)
+        v = _random_vector(rng, 18)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = matvec(h, v)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # the full-vector kernel took about 10.4 MiB besides its output here
+        assert peak - out.nbytes <= v.nbytes
+
+    def test_solver_memo_within_dense_budget(self, rng, limits, monkeypatch):
+        kernels = []
+
+        class Recorded(spectra._GroupedKernel):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                kernels.append(self)
+
+        monkeypatch.setattr(spectra, "_GroupedKernel", Recorded)
+        limits(dense_limit=7)  # 256 KiB: four of the 64 KiB rows at n = 14
+        h = random_local(14, 3, 60, seed=2)
+        extremal_eigs(h, max_iters=12)
+        (kernel,) = kernels
+        budget = 16 << (2 * 7)
+        assert 0 < kernel.kept_bytes <= budget
+        assert len(kernel._first) * 8 << spectra._KERNEL_BLOCK_BITS > budget
+        # a partly filled memo, the rest rebuilt per block: still the same bits
+        v = _random_vector(rng, h.n)
+        assert _bits_equal(kernel.apply(v), _reference_matvec(h, v))
+
+    def test_multi_block_solve_pinned(self):
+        # recorded with the full-vector kernel; any changed bit in the
+        # four-block path moves the Krylov space and these values
+        res = extremal_eigs(random_local(15, 3, 40, seed=4))
+        assert res.converged
+        assert res.lambda_max == 7.208073213125924
+        assert res.lambda_min == -7.208073213125918
+        assert res.iterations == 255
+        assert repr(res.residual) == "6.429586139348615e-09"
 
 
 def test_psd_tensor_power_top_eigenvalue(rng):
