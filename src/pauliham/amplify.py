@@ -99,12 +99,15 @@ def exact_eigenvalue_map(lam: float, k: int) -> float:
 
 
 def pauli_norm_bound(pauli1: float, k: int) -> float:
-    """Pauli 1-norm bound 1 + 2((1 + ||H||_P1)/2)^k for the transform output."""
+    """Pauli 1-norm bound 1 + 2((1 + ||H||_P1)/2)^k of the output; inf past the float range."""
     if pauli1 < 0:
         raise ValueError(f"Pauli 1-norm must be nonnegative, got {pauli1}")
     if k < 1:
         raise ValueError(f"tensor power k must be >= 1, got {k}")
-    return 1.0 + 2.0 * ((1.0 + pauli1) / 2.0) ** k
+    try:
+        return 1.0 + 2.0 * ((1.0 + pauli1) / 2.0) ** k
+    except OverflowError:
+        return math.inf
 
 
 def game_promise_gap(pgap_ham: float, pauli1: float) -> float:

@@ -5,7 +5,8 @@ Primary outputs are deterministic JSON or CSV (byte-identical for identical
 config and inputs); wall-clock timestamps go only to a ``<out>.log`` sidecar.
 Every JSON report embeds the full run configuration under the "config" key.
 Outputs are written piece by piece once every check has passed, so a
-failing run leaves no output file.
+failing run leaves no output file.  ``game`` writes both of its formats
+from one ``shot_chunks`` stream.
 
 Exit codes: 0 ok, 1 usage, 2 input error, 3 capacity error, 4 verification
 failure (verify-lemma reporting all_bounds_hold = false), 5 convergence
@@ -31,7 +32,7 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 from .amplify import AmplifyParams, amplify, verify_amplification
-from .game import shot_chunks, simulate
+from .game import _transcript, shot_chunks
 from .paulis import (
     CapacityError,
     DimensionMismatchError,
@@ -61,6 +62,9 @@ EXIT_INPUT = 2
 EXIT_CAPACITY = 3
 EXIT_VERIFY = 4
 EXIT_CONVERGENCE = 5
+
+# A JSON game report lists its rounds only up to this many shots.
+ROUND_RECORD_LIMIT = 10_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -132,6 +136,17 @@ def _game_csv(labels: list[str], signs: np.ndarray, chunks) -> Iterator[str]:
     for term_idx, plus, accepted in chunks:
         yield _csv_rows(start, terms[term_idx].tolist(), verdicts[2 * plus + accepted].tolist())
         start += len(term_idx)
+
+
+def _game_rounds(labels: list[str], signs: np.ndarray, chunks) -> list[dict]:
+    """The JSON report's round records of the chunks of ``shot_chunks``."""
+    return [
+        {"pauli": labels[i], "coeff_sign": sign, "outcome": 1 if plus else -1, "accepted": ok}
+        for term_idx, pluses, accepted in chunks
+        for i, sign, plus, ok in zip(
+            term_idx.tolist(), signs[term_idx].tolist(), pluses.tolist(), accepted.tolist()
+        )
+    ]
 
 
 def _cmd_build(args) -> int:
@@ -210,11 +225,14 @@ def _resolve_state(state_arg: str, ham):
 def _cmd_game(args) -> int:
     ham = load_hamiltonian(args.ham)
     psi = _resolve_state(args.state, ham)
+    exact, signs, chunks = shot_chunks(ham, psi, args.shots, args.seed)
     if args.format == "csv":
-        _, signs, chunks = shot_chunks(ham, psi, args.shots, args.seed)
         _emit(_game_csv(ham.labels(), signs, chunks), args.out, args)
         return EXIT_OK
-    transcript = simulate(ham, psi, args.shots, args.seed)
+    # Up to ROUND_RECORD_LIMIT shots (one chunk) are kept, to be counted and listed.
+    kept = list(chunks) if args.shots <= ROUND_RECORD_LIMIT else []
+    transcript = _transcript(exact, kept or chunks, args.shots, args.seed)
+    rounds = _game_rounds(ham.labels(), signs, kept) if kept else []
     _emit_json(
         {
             "shots": transcript.shots,
@@ -222,16 +240,8 @@ def _cmd_game(args) -> int:
             "std_error": transcript.std_error,
             "exact_probability": transcript.exact_probability,
             "seed": transcript.seed,
-            "rounds_elided": len(transcript.rounds) == 0,
-            "rounds": [
-                {
-                    "pauli": r.sampled_term.label,
-                    "coeff_sign": r.coeff_sign,
-                    "outcome": r.outcome,
-                    "accepted": r.accepted,
-                }
-                for r in transcript.rounds
-            ],
+            "rounds_elided": args.shots > ROUND_RECORD_LIMIT,
+            "rounds": rounds,
         },
         args.out,
         args,

@@ -16,12 +16,11 @@ reproduce the sequential transcript bit for bit by starting their
 generator at ``Philox(key=seed).advance(a)``.  ``shot_chunks`` splits
 its shots that way: it yields them in chunks of SHOT_CHUNK consecutive
 counter blocks, so a million-shot game needs one chunk's arrays, not a
-million shots' worth; ``simulate`` and the CLI's CSV rows consume them.
+million shots' worth; ``simulate`` and both CLI game formats consume them.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -35,10 +34,6 @@ from .paulis import (
     term_distribution,
 )
 from .spectra import StateVector, _term_expectations, pauli_expectation
-
-# JSON reports and in-memory transcripts keep per-round records only up to
-# this many shots; aggregates are always exact.
-ROUND_RECORD_LIMIT = 10_000
 
 # shot_chunks draws this many shots at a time; its working arrays hold
 # this many entries however many shots are asked for.
@@ -65,11 +60,9 @@ class GameRound:
 class GameTranscript:
     """Aggregate of seeded rounds plus the exact acceptance probability.
 
-    ``rounds`` may be empty when per-round records were elided for large
-    shot counts; the aggregate fields are always computed from all shots.
+    The fields count every shot; the shots themselves are ``shot_chunks``'.
     """
 
-    rounds: tuple[GameRound, ...]
     shots: int
     accept_frequency: float
     std_error: float
@@ -166,30 +159,25 @@ def _shot_chunks(draw, p_plus, accepting_bit, shots, seed):
         yield term_idx, plus, plus == accepting_bit[term_idx]
 
 
-def simulate(h: Hamiltonian, psi: StateVector, shots: int, seed: int) -> GameTranscript:
-    """Seed-deterministic transcript of many rounds.
-
-    Equivalent, bit for bit, to ``play_round(h, psi, shot_rng(seed, i))``
-    for i in range(shots): it counts the accepted rounds of ``shot_chunks``
-    and keeps per-round records when shots <= ROUND_RECORD_LIMIT.  Working
-    memory is O(SHOT_CHUNK + T + 2^n) for T terms on n qubits.
-    """
-    exact, signs, chunks = shot_chunks(h, psi, shots, seed)
-    pauli = functools.cache(h.pauli)  # one PauliString per sampled term
-    accepted_count, rounds = 0, []
-    for term_idx, plus, accepted in chunks:
-        accepted_count += int(np.count_nonzero(accepted))
-        if shots <= ROUND_RECORD_LIMIT:
-            terms = map(pauli, term_idx.tolist())
-            outcomes = np.where(plus, 1, -1).tolist()
-            rounds += map(GameRound, terms, signs[term_idx].tolist(), outcomes, accepted.tolist())
-
-    freq = accepted_count / shots
+def _transcript(exact: float, chunks, shots: int, seed: int) -> GameTranscript:
+    """The GameTranscript of ``shot_chunks``' exact probability and chunks."""
+    accepted = sum(int(np.count_nonzero(verdicts)) for _, _, verdicts in chunks)
+    freq = accepted / shots
     return GameTranscript(
-        rounds=tuple(rounds),
         shots=shots,
         accept_frequency=freq,
         std_error=math.sqrt(freq * (1.0 - freq) / shots),
         exact_probability=exact,
         seed=seed,
     )
+
+
+def simulate(h: Hamiltonian, psi: StateVector, shots: int, seed: int) -> GameTranscript:
+    """Seed-deterministic transcript of many rounds.
+
+    Equivalent, bit for bit, to ``play_round(h, psi, shot_rng(seed, i))``
+    for i in range(shots): it counts the accepted rounds of ``shot_chunks``.
+    Working memory is O(SHOT_CHUNK + T + 2^n) for T terms on n qubits.
+    """
+    exact, _, chunks = shot_chunks(h, psi, shots, seed)
+    return _transcript(exact, chunks, shots, seed)

@@ -626,7 +626,9 @@ def tensor_power(a: Hamiltonian, k: int) -> Hamiltonian:
     """k-fold tensor power of a Hamiltonian."""
     if k < 1:
         raise ValueError(f"tensor power needs k >= 1, got {k}")
-    if a.num_terms > 1 and a.num_terms**k > DEFAULT_TERM_CAP:
+    # Even 2^k exceeds the cap from k = bit_length(cap) on: refuse without num_terms^k.
+    huge = k >= DEFAULT_TERM_CAP.bit_length()
+    if a.num_terms > 1 and (huge or a.num_terms**k > DEFAULT_TERM_CAP):
         raise CapacityError(
             f"tensor power needs {a.num_terms}^{k} terms, cap is {DEFAULT_TERM_CAP}"
         )

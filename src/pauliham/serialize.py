@@ -131,13 +131,6 @@ def load_hamiltonian(path: "str | Path") -> Hamiltonian:
     return Hamiltonian.from_columns(n, x, z, coeffs)
 
 
-def hamiltonian_to_jsonable(h: Hamiltonian) -> dict:
-    return {
-        "n": h.n,
-        "terms": [{"pauli": p, "coeff": c} for p, c in zip(h.labels(), h.coeffs.tolist())],
-    }
-
-
 def _terms_json(h: Hamiltonian) -> Iterator[str]:
     """The "terms" list as json.dumps(indent=2) writes it one level down, in pieces."""
     if h.is_zero():
@@ -163,8 +156,8 @@ def _terms_json(h: Hamiltonian) -> Iterator[str]:
 def hamiltonian_json(h: Hamiltonian, extra: dict | None = None) -> Iterator[str]:
     """Pieces of ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline, byte for byte.
 
-    ``doc`` is ``hamiltonian_to_jsonable(h)`` updated with ``extra``; the term
-    list is written from the columns, TERM_CHUNK terms per piece.
+    ``doc`` is ``{"n": h.n, "terms": [{"pauli": label, "coeff": c}, ...]}`` updated
+    with ``extra``; the term list is written from the columns, TERM_CHUNK terms per piece.
     """
     extra = extra or {}
     doc = {"n": h.n, "terms": None, **extra}
@@ -200,10 +193,10 @@ def load_state(path: "str | Path") -> StateVector:
     raw = doc.get("amplitudes")
     if not isinstance(raw, list):
         raise SchemaError(f"{path}: field 'amplitudes' must be a list")
-    if len(raw) != 1 << n:
-        raise SchemaError(
-            f"{path}: amplitudes has {len(raw)} entries, expected {1 << n}"
-        )
+    # 2^n has n + 1 bits: other lengths are refused without forming 2^n
+    if len(raw).bit_length() != n + 1 or len(raw) != 1 << n:
+        expected = 1 << n if n < 64 else f"2^{n}"
+        raise SchemaError(f"{path}: amplitudes has {len(raw)} entries, expected {expected}")
     amps = np.empty(1 << n, dtype=np.complex128)
     for i, entry in enumerate(raw):
         if (
@@ -224,14 +217,8 @@ def load_state(path: "str | Path") -> StateVector:
     return StateVector.normalized(n, amps)
 
 
-def state_to_jsonable(psi: StateVector) -> dict:
-    return {
-        "n": psi.n,
-        "amplitudes": [[float(a.real), float(a.imag)] for a in psi.amplitudes],
-    }
-
-
 def save_state(psi: StateVector, path: "str | Path") -> None:
+    amplitudes = [[float(a.real), float(a.imag)] for a in psi.amplitudes]
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state_to_jsonable(psi), fh, indent=2, sort_keys=True)
+        json.dump({"n": psi.n, "amplitudes": amplitudes}, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -25,6 +25,8 @@ import numpy as np
 from .paulis import Hamiltonian, _TermDraw, pauli_1_norm, term_distribution
 from .spectra import to_dense
 
+# sample_restriction draws this many uniforms at a time, whatever m is.
+_DRAW_CHUNK = 1 << 16
 
 @dataclass(frozen=True)
 class SparsifyParams:
@@ -91,15 +93,19 @@ def sample_restriction(
     """Unbiased m-sample restriction of H (with replacement).
 
     The merged coefficient of term P is count(P) * (Lambda/m) * sign(beta_P),
-    so E[H''] = H and ||H''||_P1 <= Lambda always.
+    so E[H''] = H and ||H''||_P1 <= Lambda always.  The uniforms, drawn in
+    chunks, are the values of one ``rng.random(m)``.
     """
     if m < 1:
         raise ValueError(f"sample count m must be >= 1, got {m}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     signs, probs = term_distribution(h)  # raises on the zero Hamiltonian
     lam = pauli_1_norm(h)
-    idx = _TermDraw(probs, m)(rng.random(m))
-    counts = np.bincount(idx, minlength=len(probs))
+    draw = _TermDraw(probs, m)
+    counts = np.zeros(len(probs), dtype=np.intp)
+    for start in range(0, m, _DRAW_CHUNK):
+        idx = draw(rng.random(min(_DRAW_CHUNK, m - start)))
+        counts += np.bincount(idx, minlength=len(probs))
     picked = np.flatnonzero(counts)
     coeffs = counts[picked].astype(float) * (lam / m) * signs[picked]
     return Hamiltonian.from_columns(h.n, h.x[picked], h.z[picked], coeffs)

@@ -53,14 +53,13 @@ from .paulis import (
     DimensionMismatchError,
     Hamiltonian,
     PauliString,
+    _PHASE_VALUES,
     pauli_1_norm,
 )
 
 DEFAULT_DENSE_LIMIT = int(os.environ.get("PAULIHAM_DENSE_LIMIT", "12"))
 DEFAULT_EIG_TOL = 1e-8
 DEFAULT_MAX_ITERS = 100_000
-
-_PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 # A next Lanczos direction shorter than this fraction of ||H||_P1 (>= ||H||)
 # is an exact breakdown: the Krylov space is invariant, its Ritz values exact.
@@ -161,7 +160,7 @@ def _term_action(x: int, z: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """
     idx = np.arange(dim, dtype=np.int64)
     signs = 1.0 - 2.0 * (np.bitwise_count(idx & np.int64(z)) & 1)
-    phase = _PHASES[(x & z).bit_count() % 4]
+    phase = _PHASE_VALUES[(x & z).bit_count() % 4]
     return idx ^ np.int64(x), phase * signs
 
 

@@ -94,6 +94,10 @@ class TestPauliNormBound:
         with pytest.raises(ValueError):
             pauli_norm_bound(-0.5, 2)
 
+    def test_overflow_is_inf(self):
+        # ((1 + sqrt 2)/2)^5000 is far beyond the largest float
+        assert pauli_norm_bound(math.sqrt(2.0), 5000) == math.inf
+
 
 class TestAmplificationBounds:
     def test_infinite_p(self):

@@ -197,13 +197,26 @@ class TestPlayRound:
         assert seen_identity > 0
 
 
+def _shots(h, psi, shots, seed):
+    """Every shot of ``shot_chunks`` as (term label, sign, outcome, verdict)."""
+    _, signs, chunks = shot_chunks(h, psi, shots, seed)
+    term_idx, plus, accepted = (np.concatenate(column) for column in zip(*chunks))
+    labels = h.labels()
+    return [
+        (labels[i], sign, 1 if p else -1, a)
+        for i, sign, p, a in zip(
+            term_idx.tolist(), signs[term_idx].tolist(), plus.tolist(), accepted.tolist()
+        )
+    ]
+
+
 class TestSimulate:
     def test_all_accept(self):
         t = simulate(_z(), StateVector.basis(1, 0), 500, seed=1)
         assert t.accept_frequency == 1.0
         assert t.exact_probability == 1.0
         assert t.std_error == 0.0
-        assert len(t.rounds) == 500
+        assert t.shots == 500
 
     def test_seed_reproducible(self):
         h = hadamard_power(1)
@@ -211,15 +224,18 @@ class TestSimulate:
         a = simulate(h, psi, 2000, seed=42)
         b = simulate(h, psi, 2000, seed=42)
         assert a == b
-        c = simulate(h, psi, 2000, seed=43)
-        assert c.rounds != a.rounds
+        assert _shots(h, psi, 2000, seed=42) == _shots(h, psi, 2000, seed=42)
+        assert _shots(h, psi, 2000, seed=43) != _shots(h, psi, 2000, seed=42)
 
     def test_vectorized_equals_sequential(self):
         h = Hamiltonian.from_labels({"X": 1.0, "Z": -0.5, "Y": 0.25})
         psi = StateVector.normalized(1, [1.0, 0.5 - 0.25j])
+        replayed = [play_round(h, psi, shot_rng(77, i)) for i in range(64)]
+        assert _shots(h, psi, 64, seed=77) == [
+            (r.sampled_term.label, r.coeff_sign, r.outcome, r.accepted) for r in replayed
+        ]
         t = simulate(h, psi, 64, seed=77)
-        replayed = tuple(play_round(h, psi, shot_rng(77, i)) for i in range(64))
-        assert t.rounds == replayed
+        assert t.accept_frequency == sum(r.accepted for r in replayed) / 64
 
     def test_vectorized_equals_sequential_across_chunks(self, monkeypatch):
         # 64 shots in chunks of 7, drawn through the guide table of 3 terms
@@ -236,9 +252,8 @@ class TestSimulate:
         )
         assert abs(t.accept_frequency - t.exact_probability) <= 4 * t.std_error
 
-    def test_round_records_elided_above_limit(self):
+    def test_counts_every_chunk(self):
         t = simulate(_z(), StateVector.basis(1, 0), 20_000, seed=2)
-        assert t.rounds == ()
         assert t.accept_frequency == 1.0
         _, _, chunks = shot_chunks(_z(), StateVector.basis(1, 0), 20_000, seed=2)
         counts = [(len(accepted), int(accepted.sum())) for _, _, accepted in chunks]
@@ -250,7 +265,7 @@ class TestSimulate:
 
     def test_transcript_invariants_validated(self):
         with pytest.raises(ValueError):
-            GameTranscript((), 10, 0.5, 0.9, 0.5, 0)  # std_error inconsistent
+            GameTranscript(10, 0.5, 0.9, 0.5, 0)  # std_error inconsistent
 
 
 def test_simulate_computes_each_expectation_once(monkeypatch, rng):
@@ -281,7 +296,8 @@ class TestStreamedShots:
 
     @pytest.mark.parametrize("record", [False, True])
     def test_chunk_size_invariance(self, instance, record, monkeypatch):
-        # record=True checks the per-shot arrays that replaced per-round records
+        # record=False checks the simulate transcript, record=True every
+        # shot's arrays from shot_chunks
         h, psi = instance
 
         def run():
@@ -293,8 +309,6 @@ class TestStreamedShots:
         reference = run()
         if record:
             assert all(len(column) == 100_000 for column in reference)
-        else:
-            assert reference.rounds == ()
         for chunk in (1, 3, 4096):
             monkeypatch.setattr(game, "SHOT_CHUNK", chunk)
             result = run()

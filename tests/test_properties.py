@@ -25,12 +25,19 @@ from pauliham.paulis import (  # noqa: E402
 )
 from pauliham.serialize import (  # noqa: E402
     hamiltonian_json,
-    hamiltonian_to_jsonable,
     load_hamiltonian,
     save_hamiltonian,
 )
 
 PROPERTY = settings(max_examples=60, deadline=None)
+
+
+def hamiltonian_to_jsonable(h: Hamiltonian) -> dict:
+    """The writer's reference: the file document as plain Python values."""
+    return {
+        "n": h.n,
+        "terms": [{"pauli": p, "coeff": c} for p, c in zip(h.labels(), h.coeffs.tolist())],
+    }
 
 
 @st.composite

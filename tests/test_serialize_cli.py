@@ -123,6 +123,14 @@ class TestStateFiles:
         with pytest.raises(SchemaError, match=r"amplitudes\[1\]"):
             load_state(path)
 
+    @pytest.mark.parametrize("n", [20_000, 10**11])
+    def test_huge_n_is_schema_error(self, tmp_path, n):
+        # the count is refused without forming 2^n (12.5 GB at n = 10^11)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": n, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}))
+        with pytest.raises(SchemaError, match=rf"amplitudes has 2 entries, expected 2\^{n}"):
+            load_state(path)
+
 
 def _write_ham(path, labels):
     save_hamiltonian(Hamiltonian.from_labels(labels), path)
@@ -277,6 +285,14 @@ class TestCli:
         h = tmp_path / "h2.json"
         save_hamiltonian(hadamard_power(2), h)
         assert main(["amplify", "--ham", str(h), "--k", "12", "--out", str(tmp_path / "o.json")]) == 3
+
+    def test_verify_lemma_huge_k_exits_3(self, tmp_path, capsys):
+        # its Pauli 1-norm bound overflows a float and its 3^5000 terms the cap
+        h = tmp_path / "had1.json"
+        assert main(["build", "--kind", "hadamard-power", "--n", "1", "--out", str(h)]) == 0
+        argv = ["verify-lemma", "--ham", str(h), "--p", "inf", "--q", "10", "--k", "5000"]
+        assert main(argv) == 3
+        assert "capacity error" in capsys.readouterr().err
 
     def test_exit_code_convergence_error(self, tmp_path, capsys):
         h = tmp_path / "h.json"

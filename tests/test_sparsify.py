@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from pauliham.paulis import (
     hadamard_power,
     pauli_1_norm,
     parse_pauli,
+    random_local,
+    term_distribution,
     xxzz_chain,
 )
 from pauliham.sparsify import (
@@ -104,6 +107,32 @@ class TestSampleRestriction:
             sample_restriction(zero, 4, seed=0)
         with pytest.raises(ValueError):
             sample_restriction(h, 0, seed=0)
+
+    def test_large_m_drawn_in_bounded_memory(self):
+        # 3e6 draws at once took 24 MB of uniforms and 24 MB of indices;
+        # the counts are those of one inverse-CDF search over them all
+        h = random_local(6, 3, 40, seed=5)
+        m = 3_000_000
+        tracemalloc.start()
+        try:
+            out = sample_restriction(h, m, seed=8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+        signs, probs = term_distribution(h)
+        cum = np.cumsum(probs)
+        cum[-1] = 1.0
+        u = np.random.default_rng(8).random(m)
+        counts = np.bincount(np.searchsorted(cum, u, side="right"), minlength=len(probs))
+        del u
+        picked = np.flatnonzero(counts)
+        want = Hamiltonian.from_columns(
+            h.n, h.x[picked], h.z[picked], counts[picked] * (pauli_1_norm(h) / m) * signs[picked]
+        )
+        assert out.labels() == want.labels()
+        assert np.array_equal(out.coeffs, want.coeffs)
 
 
 class TestEmpiricalDeviation:

@@ -7,6 +7,8 @@ products in ``apply_polynomial`` sum in another order and are compared
 within 1e-12.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,18 @@ class TestAgainstDictReference:
         limits(term_cap=3**5 - 1)
         with pytest.raises(CapacityError):
             tensor_power(h, 5)
+
+    def test_tensor_power_huge_k_refused_without_the_count(self):
+        # 2^(10^8) would be a 12.5 MB integer
+        h = Hamiltonian.from_labels({"I": 0.5, "X": 0.5})
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match=r"2\^100000000 terms"):
+                tensor_power(h, 10**8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestLabelColumns:
