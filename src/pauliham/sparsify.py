@@ -17,6 +17,7 @@ against the dense oracle at small n.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -72,12 +73,20 @@ class SparsifyReport:
 def chernoff_bound(n: int, m: int, delta: float) -> float:
     """Operator-Chernoff failure bound 2^n exp(-m delta^2 / 32).
 
-    Returned uncapped; a value >= 1 certifies nothing and triggers a
-    RuntimeWarning so vacuous parameter choices are flagged.
+    Returned uncapped, and ``math.inf`` where the value exceeds the float
+    range; a value >= 1 certifies nothing and triggers a RuntimeWarning so
+    vacuous parameter choices are flagged.
     """
     if n < 1 or m < 1 or not delta > 0:
         raise ValueError(f"all parameters must be positive, got n={n}, m={m}, delta={delta}")
-    value = 2.0**n * math.exp(-m * delta * delta / 32.0)
+    exponent = -m * delta * delta / 32.0
+    if n < sys.float_info.max_exp:  # 2.0**n is a float
+        value = 2.0**n * math.exp(exponent)
+    else:
+        try:
+            value = math.exp(n * math.log(2.0) + exponent)
+        except OverflowError:
+            value = math.inf
     if value >= 1.0:
         warnings.warn(
             f"Chernoff bound {value:.3g} >= 1 is vacuous for n={n}, m={m}, delta={delta}",

@@ -1,6 +1,12 @@
 import math
-
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -328,3 +334,160 @@ class TestStreamedShots:
             tracemalloc.stop()
         # one chunk of uniforms is 2 MiB; drawing all 8e6 at once took 64 MiB
         assert peak < 6 * 2**20
+
+
+def _workers(monkeypatch, workers):
+    monkeypatch.setattr(game, "_worker_count", lambda chunks: min(workers, chunks))
+
+
+class TestWorkerThreads:
+    H = Hamiltonian.from_labels({"XI": 1.0, "ZZ": -0.5, "YX": 0.25, "IZ": 0.0625})
+    SHOTS = 3 * 4096 + 100
+
+    @pytest.fixture(scope="class")
+    def replayed(self):
+        psi = random_state(np.random.default_rng(31), 2)
+        rounds = [play_round(self.H, psi, shot_rng(19, i)) for i in range(self.SHOTS)]
+        return psi, [(r.sampled_term.label, r.coeff_sign, r.outcome, r.accepted) for r in rounds]
+
+    @pytest.mark.parametrize("chunk", [7, 4096])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_same_shots_for_any_worker_count(self, replayed, monkeypatch, chunk, workers):
+        # with a short switch interval the workers hand over the interpreter
+        # lock as often as they can, so out-of-order completions are likely
+        psi, want = replayed
+        monkeypatch.setattr(game, "SHOT_CHUNK", chunk)
+        _workers(monkeypatch, workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = _shots(self.H, psi, self.SHOTS, seed=19)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
+    def test_draw_step_invariance(self, replayed, monkeypatch):
+        # chunks drawn in pieces of 5 counter blocks, and in one piece each
+        psi, want = replayed
+        for step in (5, 1 << 16):
+            monkeypatch.setattr(game, "_DRAW_STEP", step)
+            assert _shots(self.H, psi, self.SHOTS, seed=19) == want
+
+    @pytest.fixture
+    def stream(self, monkeypatch):
+        """A 12-chunk stream on three drawing threads, and the thread count before it."""
+        monkeypatch.setattr(game, "SHOT_CHUNK", 1000)
+        _workers(monkeypatch, 3)
+        before = threading.active_count()
+        _, _, chunks = shot_chunks(self.H, StateVector.basis(2, 0), 12_000, seed=5)
+        assert threading.active_count() == before  # no thread before the first chunk
+        return chunks, before
+
+    def test_no_thread_outlives_a_closed_stream(self, stream):
+        chunks, before = stream
+        next(chunks)
+        assert threading.active_count() > before
+        chunks.close()
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_an_exhausted_stream(self, stream):
+        chunks, before = stream
+        assert sum(len(term_idx) for term_idx, _, _ in chunks) == 12_000
+        assert threading.active_count() == before
+
+    def test_one_chunk_starts_no_thread(self, monkeypatch):
+        # the consumer draws a one-chunk batch itself
+        _workers(monkeypatch, 3)
+        before = threading.active_count()
+        _, _, chunks = shot_chunks(self.H, StateVector.basis(2, 0), 500, seed=5)
+        assert [threading.active_count() for _ in chunks] == [before]
+
+    def test_worker_error_reaches_the_consumer(self, stream, monkeypatch):
+        chunks, before = stream
+        draw_chunk = game._ShotDrawer.__call__
+
+        def failing(drawer, start, chunk):
+            if start == 4000:
+                raise RuntimeError("draw failed")
+            draw_chunk(drawer, start, chunk)
+
+        monkeypatch.setattr(game._ShotDrawer, "__call__", failing)
+        seen, error = [], []
+
+        def consume():
+            try:
+                seen.extend(len(term_idx) for term_idx, _, _ in chunks)
+            except RuntimeError as exc:
+                error.append(exc)
+
+        consumer = threading.Thread(target=consume)
+        consumer.start()
+        consumer.join(timeout=60)
+        assert not consumer.is_alive()
+        assert seen == [1000] * 4 and str(error[0]) == "draw failed"
+        assert threading.active_count() == before
+
+    def test_no_draw_while_the_consumer_works(self, stream, monkeypatch):
+        # chunks are drawn only while the consumer waits in next(), so a
+        # slow consumer (the CSV writer) never shares the interpreter lock
+        # with a draw
+        chunks, _ = stream
+        call = game._ShotDrawer.__call__
+        busy, overlaps = [False], []
+
+        def watched(drawer, start, chunk):
+            overlaps.append(busy[0])
+            call(drawer, start, chunk)
+            overlaps.append(busy[0])
+
+        monkeypatch.setattr(game._ShotDrawer, "__call__", watched)
+        for _ in chunks:
+            busy[0] = True
+            time.sleep(0.002)
+            busy[0] = False
+        assert len(overlaps) == 24 and not any(overlaps)
+
+    @pytest.mark.parametrize(
+        "script",
+        [
+            """
+            _, _, chunks = game.shot_chunks(H, StateVector.basis(2, 0), 12_000, 5)
+            next(chunks)
+            """,
+            """
+            def consume():
+                _, _, chunks = game.shot_chunks(H, StateVector.basis(2, 0), 12_000, 5)
+                next(chunks)
+                raise RuntimeError("consumer failed")
+            consume()
+            """,
+        ],
+        ids=["module-global", "uncaught-error"],
+    )
+    def test_unclosed_stream_lets_the_interpreter_exit(self, script):
+        # a partly read stream still alive at exit, in a global or in the
+        # frame an uncaught error's traceback keeps, with idle workers
+        code = textwrap.dedent(
+            """
+            import pauliham.game as game
+            from pauliham.paulis import Hamiltonian
+            from pauliham.spectra import StateVector
+            game.SHOT_CHUNK = 1000
+            game._worker_count = lambda chunks: min(3, chunks)
+            H = Hamiltonian.from_labels({"XI": 1.0, "ZZ": -0.5})
+            """
+        ) + textwrap.dedent(script)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == (1 if "raise" in script else 0), done.stderr
+
+    def test_worker_count_follows_usable_cores(self, monkeypatch):
+        monkeypatch.setattr(game.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert [game._worker_count(c) for c in (1, 2, 3, 100)] == [1, 2, 3, 3]
+        monkeypatch.delattr(game.os, "sched_getaffinity")
+        monkeypatch.setattr(game.os, "cpu_count", lambda: None)
+        assert game._worker_count(100) == 1
+        monkeypatch.setattr(game.os, "cpu_count", lambda: 64)
+        assert game._worker_count(100) == game._MAX_WORKERS

@@ -508,6 +508,21 @@ class TestStreamedOutput:
         assert main(argv + ["--state", str(psi), "--shots", "10"]) == 2
         assert sorted(p.name for p in tmp_path.iterdir()) == ["h.json", "psi.json"]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_invalid_seed_writes_nothing(self, tmp_path, capsys, fmt, seed):
+        # The Philox key is checked before the output file is opened, not
+        # when the first shot chunk is drawn.
+        ham, out = tmp_path / "h.json", tmp_path / f"g.{fmt}"
+        _write_ham(ham, {"ZZ": 1.0})
+        argv = [
+            "game", "--ham", str(ham), "--state", "top-eig", "--shots", "10",
+            "--seed", str(seed), "--format", fmt, "--out", str(out),
+        ]
+        assert main(argv) == 2
+        assert "key must be positive" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["h.json"]
+
     def test_save_hamiltonian_memory_independent_of_terms(self, tmp_path, monkeypatch):
         h = hadamard_power(16)  # 65,536 terms, 1.5 MiB of columns
         save_hamiltonian(hadamard_power(2), tmp_path / "warm.json")

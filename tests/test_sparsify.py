@@ -54,6 +54,22 @@ class TestChernoffBound:
         with pytest.raises(ValueError):
             chernoff_bound(0, 10, 0.5)
 
+    def test_beyond_float_range_of_two_to_the_n(self):
+        # 2^1100 is no float, but 2^1100 exp(-10^9 / 32) underflows to 0.0
+        assert chernoff_bound(1100, 10**9, 1.0) == 0.0
+        with pytest.warns(RuntimeWarning, match="vacuous"):
+            assert chernoff_bound(2000, 1, 1.0) == math.inf
+        # near the top of the float range: 2^1024 exp(-1100 / 32)
+        with pytest.warns(RuntimeWarning, match="vacuous"):
+            assert chernoff_bound(1024, 1100, 1.0) == pytest.approx(
+                2.0**1000 * math.exp(-1100 / 32.0) * 2.0**24, rel=1e-12
+            )
+
+    @pytest.mark.filterwarnings("ignore:Chernoff bound")
+    @pytest.mark.parametrize("n, m, delta", [(2, 512, 0.5), (6, 200, 0.9), (1023, 10**4, 1.0)])
+    def test_same_bits_as_power_formula(self, n, m, delta):
+        assert chernoff_bound(n, m, delta) == 2.0**n * math.exp(-m * delta * delta / 32.0)
+
 
 class TestSampleRestriction:
     def test_single_term_reproduced_exactly(self):
