@@ -1,5 +1,3 @@
-import sys
+from .cli import _entry
 
-from .cli import main
-
-sys.exit(main())
+_entry()

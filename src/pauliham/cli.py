@@ -2,18 +2,23 @@
 
 Subcommands: build, norms, spectrum, amplify, verify-lemma, game, sparsify.
 Primary outputs are deterministic JSON or CSV (byte-identical for identical
-config and inputs); wall-clock timestamps go only to a ``<out>.log`` sidecar.
+config and inputs under the same BLAS thread count, since eigensolver
+results can differ in their last bits across thread counts); wall-clock
+timestamps go only to a ``<out>.log`` sidecar.
 Every JSON report embeds the full run configuration under the "config" key.
-Outputs are written piece by piece once every check has passed, so a
-failing run leaves no output file.  ``game`` writes both of its formats
-from one ``shot_chunks`` stream.
+Outputs are written piece by piece once every check has passed, and a
+write that fails or is interrupted removes its file (a regular file that
+--out names itself), so a failing run leaves no output file.  ``game``
+writes both of its formats from one ``shot_chunks`` stream.
 
 Exit codes: 0 ok, 1 usage, 2 input error, 3 capacity error, 4 verification
 failure (verify-lemma reporting all_bounds_hold = false), 5 convergence
 error (an eigensolve whose result must be converged stopped above its
 tolerance: the operator norm in norms, amplify and verify-lemma, the
 eigenvalues in verify-lemma, and the top eigenvector that
-spectrum --eigvec-out saves and game --state top-eig plays).
+spectrum --eigvec-out saves and game --state top-eig plays), 130 interrupted
+(Ctrl-C), 141 broken pipe (the reader of stdout or of an --out FIFO left).
+``main`` raises those two; the process entry points map them to these codes.
 
 The eigensolver's memory budget and the term-count cap honor the
 environment variables PAULIHAM_DENSE_LIMIT and PAULIHAM_TERM_CAP.
@@ -26,8 +31,11 @@ import dataclasses
 import datetime
 import json
 import math
+import os
+import stat
 import sys
 from collections.abc import Iterable, Iterator
+from contextlib import closing, suppress
 
 import numpy as np
 
@@ -36,13 +44,16 @@ from .game import _transcript, shot_chunks
 from .paulis import (
     CapacityError,
     DimensionMismatchError,
+    Hamiltonian,
     PauliParseError,
     build_model,
+    format_labels,
     pauli_1_norm,
 )
 from .serialize import (
     SchemaError,
-    hamiltonian_json,
+    _json_document,
+    _terms_json,
     load_hamiltonian,
     load_state,
     save_state,
@@ -94,59 +105,79 @@ def _config_of(args: argparse.Namespace) -> dict:
 
 
 def _emit(pieces: Iterable[str], out: "str | None", args: argparse.Namespace) -> None:
-    """Write the pieces to stdout, or to ``out`` and then its ``<out>.log`` sidecar."""
+    """Write the pieces to stdout, or to ``out`` and then its ``<out>.log`` sidecar.
+
+    A write to ``out`` that fails or is interrupted removes the file if ``out``
+    names a regular file itself: never a device, a FIFO, or a symlink or the
+    file it points to.
+    """
     if out is None:
         sys.stdout.writelines(pieces)
         return
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.writelines(pieces)
+    regular = False
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            st = os.fstat(fh.fileno())
+            regular = stat.S_ISREG(st.st_mode) and os.path.samestat(st, os.lstat(out))
+            fh.writelines(pieces)
+    except BaseException:
+        if regular:
+            with suppress(OSError):  # the first error is the one to report
+                os.remove(out)
+        raise
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
     with open(f"{out}.log", "a", encoding="utf-8") as fh:
         fh.write(f"{stamp} {args.subcommand} {json.dumps(_config_of(args), sort_keys=True)}\n")
 
 
-def _emit_json(doc: dict, out: "str | None", args: argparse.Namespace) -> None:
-    doc = _jsonable({**doc, "config": _config_of(args)})
-    _emit([json.dumps(doc, indent=2, sort_keys=True), "\n"], out, args)
+def _emit_json(doc: dict, out: "str | None", args: argparse.Namespace, **streamed) -> None:
+    """Write ``doc`` and the run's config as one JSON report.  Each keyword
+    in ``streamed`` is a list already written as text, in pieces."""
+    doc = {**_jsonable(doc), "config": _config_of(args), **streamed}
+    _emit(_json_document(doc, streamed), out, args)
 
 
-def _emit_hamiltonian(ham, out: "str | None", args: argparse.Namespace) -> None:
-    """_emit_json of the Hamiltonian document, written from its columns."""
-    _emit(hamiltonian_json(ham, {"config": _config_of(args)}), out, args)
-
-
-def _csv_rows(start: int, *parts: list[str]) -> str:
-    """CSV lines: the row index from ``start``, then row i's text of each part."""
-    rows, stride = len(parts[0]), 1 + len(parts)
-    pieces = [""] * (rows * stride)
-    pieces[0::stride] = map(str, range(start, start + rows))
-    for j, part in enumerate(parts, 1):
-        pieces[j::stride] = part
+def _csv_rows(start: int, rows: list[str]) -> str:
+    """CSV lines: the row index from ``start``, then row i's text."""
+    pieces = [""] * (2 * len(rows))
+    pieces[0::2] = map(str, range(start, start + len(rows)))
+    pieces[1::2] = rows
     return "".join(pieces)
 
 
-def _game_csv(labels: list[str], signs: np.ndarray, chunks) -> Iterator[str]:
+def _shot_texts(h: Hamiltonian, signs: np.ndarray, chunks, text) -> Iterator[list[str]]:
+    """Each chunk of ``shot_chunks`` as its shots' ``text(label, sign, outcome)``, looked
+    up at 2 * term + outcome bit.  A shot is accepted iff its outcome is its term's
+    sign, which is never 0: a canonical Hamiltonian holds no zero coefficient.  An
+    entry's text is built when a shot first reaches it: at most one per shot."""
+    table = np.empty(2 * h.num_terms, dtype=object)
+    filled = np.zeros(2 * h.num_terms, dtype=bool)
+    for term_idx, plus, _ in chunks:
+        at = 2 * term_idx + plus
+        new = np.unique(at[~filled[at]])  # the entries no earlier shot reached
+        terms, outcomes = new >> 1, (2 * (new & 1) - 1).tolist()
+        labels = format_labels(h.x[terms], h.z[terms], h.n)
+        table[new] = [text(*row) for row in zip(labels, signs[terms].tolist(), outcomes)]
+        filled[new] = True
+        yield table[at].tolist()
+
+
+def _game_csv(h: Hamiltonian, signs: np.ndarray, chunks) -> Iterator[str]:
     """The game's CSV text, one piece per chunk of ``shot_chunks``."""
     yield "round,pauli,coeff_sign,outcome,accepted\n"
-    # After its index, a row holds its term's ",label,sign," and then its
-    # "outcome,accepted", which is verdicts[2 * plus + accepted].
-    terms = np.array([f",{p},{s}," for p, s in zip(labels, signs.tolist())], dtype=object)
-    verdicts = np.array(["-1,0\n", "-1,1\n", "1,0\n", "1,1\n"], dtype=object)
     start = 0
-    for term_idx, plus, accepted in chunks:
-        yield _csv_rows(start, terms[term_idx].tolist(), verdicts[2 * plus + accepted].tolist())
-        start += len(term_idx)
+    for rows in _shot_texts(h, signs, chunks, lambda p, s, o: f",{p},{s},{o},{int(o == s)}\n"):
+        yield _csv_rows(start, rows)
+        start += len(rows)
 
 
-def _game_rounds(labels: list[str], signs: np.ndarray, chunks) -> list[dict]:
-    """The JSON report's round records of the chunks of ``shot_chunks``."""
-    return [
-        {"pauli": labels[i], "coeff_sign": sign, "outcome": 1 if plus else -1, "accepted": ok}
-        for term_idx, pluses, accepted in chunks
-        for i, sign, plus, ok in zip(
-            term_idx.tolist(), signs[term_idx].tolist(), pluses.tolist(), accepted.tolist()
-        )
-    ]
+def _round_json(label: str, sign: int, outcome: int) -> str:
+    """A round of the JSON report as json.dumps(indent=2) writes it two levels down."""
+    accepted = "true" if outcome == sign else "false"
+    return (
+        f'    {{\n      "accepted": {accepted},\n      "coeff_sign": {sign},\n'
+        f'      "outcome": {outcome},\n      "pauli": "{label}"\n    }}'
+    )
 
 
 def _cmd_build(args) -> int:
@@ -157,7 +188,7 @@ def _cmd_build(args) -> int:
         m=args.m,
         seed=args.seed,
     )
-    _emit_hamiltonian(ham, args.out, args)
+    _emit_json({"n": ham.n}, args.out, args, terms=_terms_json(ham))
     return EXIT_OK
 
 
@@ -199,7 +230,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_amplify(args) -> int:
     ham = load_hamiltonian(args.ham)
     amplified = amplify(ham, args.k, assume_norm_ok=args.assume_norm_ok)
-    _emit_hamiltonian(amplified, args.out, args)
+    _emit_json({"n": amplified.n}, args.out, args, terms=_terms_json(amplified))
     return EXIT_OK
 
 
@@ -226,13 +257,15 @@ def _cmd_game(args) -> int:
     ham = load_hamiltonian(args.ham)
     psi = _resolve_state(args.state, ham)
     exact, signs, chunks = shot_chunks(ham, psi, args.shots, args.seed)
-    if args.format == "csv":
-        _emit(_game_csv(ham.labels(), signs, chunks), args.out, args)
-        return EXIT_OK
-    # Up to ROUND_RECORD_LIMIT shots (one chunk) are kept, to be counted and listed.
-    kept = list(chunks) if args.shots <= ROUND_RECORD_LIMIT else []
-    transcript = _transcript(exact, kept or chunks, args.shots, args.seed)
-    rounds = _game_rounds(ham.labels(), signs, kept) if kept else []
+    with closing(chunks):  # an interrupted write still joins the drawing threads
+        if args.format == "csv":
+            _emit(_game_csv(ham, signs, chunks), args.out, args)
+            return EXIT_OK
+        # Up to ROUND_RECORD_LIMIT shots (one chunk) are kept, to be counted and listed.
+        kept = list(chunks) if args.shots <= ROUND_RECORD_LIMIT else []
+        transcript = _transcript(exact, kept or chunks, args.shots, args.seed)
+    texts = _shot_texts(ham, signs, kept, _round_json) if kept else []
+    rows = [row for chunk in texts for row in chunk]
     _emit_json(
         {
             "shots": transcript.shots,
@@ -241,10 +274,10 @@ def _cmd_game(args) -> int:
             "exact_probability": transcript.exact_probability,
             "seed": transcript.seed,
             "rounds_elided": args.shots > ROUND_RECORD_LIMIT,
-            "rounds": rounds,
         },
         args.out,
         args,
+        rounds=["[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"],
     )
     return EXIT_OK
 
@@ -362,5 +395,20 @@ def main(argv: "list[str] | None" = None) -> int:
         return EXIT_INPUT
 
 
+def _entry() -> None:
+    """Run ``main`` as the process: a broken pipe or Ctrl-C ends it quietly,
+    with the exit code a shell reports, where ``main`` itself raises."""
+    try:
+        code = main()
+    except BrokenPipeError:
+        # A reader left (of stdout, or of an --out FIFO): what stdout still
+        # buffers goes to devnull, so the flush at exit raises nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141  # 128 + SIGPIPE
+    except KeyboardInterrupt:
+        code = 130  # 128 + SIGINT
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    _entry()

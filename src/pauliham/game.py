@@ -162,9 +162,9 @@ def shot_chunks(h: Hamiltonian, psi: StateVector, shots: int, seed: int) -> tupl
     expectations = _term_expectations(h, psi)
     exact = _accept_prob(h, signs, probs, expectations)
     # A round is accepted iff its outcome bit (u < p_plus) equals its term's
-    # entry here: 1 for a positive coefficient, 0 for a negative one and 2,
-    # which no bit equals, for a zero one.
-    accepting_bit = np.where(signs == 0, 2, signs > 0).astype(np.int8)
+    # entry here: 1 for a positive coefficient, 0 for a negative one (a
+    # canonical Hamiltonian holds no zero coefficient).
+    accepting_bit = signs > 0
     p_plus = 0.5 * (1.0 + expectations)
     # builds Philox(key=seed), so it raises ValueError unless 0 <= seed < 2**128
     drawer = _ShotDrawer(

@@ -426,9 +426,9 @@ class Hamiltonian:
         return cls._build(n, x, z, coeffs)
 
     @classmethod
-    def identity(cls, n: int, coeff: float = 1.0) -> "Hamiltonian":
+    def identity(cls, n: int) -> "Hamiltonian":
         zero = np.zeros((1, _words(n)), dtype=np.uint64)
-        return cls.from_columns(n, zero, zero, [coeff])
+        return cls.from_columns(n, zero, zero, [1.0])
 
     @property
     def num_terms(self) -> int:
@@ -716,7 +716,9 @@ def apply_polynomial(h: Hamiltonian, poly: Sequence[float]) -> Hamiltonian:
     x, z, coeffs = _canonical(
         h.n, *(np.concatenate([part[i] for part in parts]) for i in range(3))
     )
-    return Hamiltonian._build(h.n, x, z, _real_part(coeffs))
+    # The rows are canonical already: only real parts within the prune
+    # tolerance are left to drop.
+    return Hamiltonian._of(h.n, *_finish(h.n, x, z, _real_part(coeffs)))
 
 
 def hadamard_power(n: int) -> Hamiltonian:

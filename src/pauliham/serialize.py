@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterator
+from collections.abc import Collection, Iterator
 from pathlib import Path
 from typing import Any
 
@@ -44,19 +44,24 @@ class SchemaError(ValueError):
     """A file does not match its JSON schema; the message names the field."""
 
 
-def _load_json(path: "str | Path") -> Any:
+def _read(path: "str | Path", field: str) -> tuple[int, list]:
+    """The JSON object in ``path``: its integer ``n`` >= 1 and its list ``field``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
-
-
-def _require_int(obj: Any, field: str, path) -> int:
-    value = obj.get(field)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise SchemaError(f"{path}: field {field!r} must be an integer")
-    return value
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: top level must be a JSON object")
+    n = doc.get("n")
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise SchemaError(f"{path}: field 'n' must be an integer")
+    if n < 1:
+        raise SchemaError(f"{path}: field 'n' must be >= 1, got {n}")
+    entries = doc.get(field)
+    if not isinstance(entries, list):
+        raise SchemaError(f"{path}: field {field!r} must be a list")
+    return n, entries
 
 
 def _finite(value: "int | float") -> bool:
@@ -67,25 +72,18 @@ def _finite(value: "int | float") -> bool:
         return False
 
 
-def _check_entry(path, i: int, entry: Any, n: int) -> None:
-    """Raise the SchemaError that names what is wrong with terms[i], if anything."""
-    where = f"{path}: terms[{i}]"
+def _entry_fault(entry: Any) -> "str | None":
+    """What is wrong with a term entry's fields, as the end of its error message, or None."""
     if not isinstance(entry, dict):
-        raise SchemaError(f"{where} must be an object")
-    label = entry.get("pauli")
-    if not isinstance(label, str):
-        raise SchemaError(f"{where}.pauli must be a string")
+        return " must be an object"
+    if not isinstance(entry.get("pauli"), str):
+        return ".pauli must be a string"
     coeff = entry.get("coeff")
     if isinstance(coeff, bool) or not isinstance(coeff, (int, float)):
-        raise SchemaError(f"{where}.coeff must be a real number")
+        return ".coeff must be a real number"
     if not _finite(coeff):
-        raise SchemaError(f"{where}.coeff is non-finite as a float: {coeff}")
-    try:
-        pauli = parse_pauli(label)
-    except PauliParseError as exc:
-        raise SchemaError(f"{where}.pauli: {exc}") from exc
-    if pauli.n != n:
-        raise SchemaError(f"{where}.pauli has length {pauli.n}, expected n={n}")
+        return f".coeff is non-finite as a float: {coeff}"
+    return None
 
 
 def load_hamiltonian(path: "str | Path") -> Hamiltonian:
@@ -99,36 +97,25 @@ def load_hamiltonian(path: "str | Path") -> Hamiltonian:
             coefficients not finite as floats, or illegal Pauli letters; the
             message names the offending entry.
     """
-    doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: top level must be a JSON object")
-    n = _require_int(doc, "n", path)
-    if n < 1:
-        raise SchemaError(f"{path}: field 'n' must be >= 1, got {n}")
-    entries = doc.get("terms")
-    if not isinstance(entries, list):
-        raise SchemaError(f"{path}: field 'terms' must be a list")
-    labels, coeffs = [], []
-    for entry in entries:
-        label = entry.get("pauli") if isinstance(entry, dict) else None
-        coeff = entry.get("coeff") if isinstance(entry, dict) else None
-        if (
-            not isinstance(label, str)
-            or isinstance(coeff, bool)
-            or not isinstance(coeff, (int, float))
-            or not _finite(coeff)
-        ):
-            break
-        labels.append(label)
-        coeffs.append(float(coeff))
-    try:
-        x, z = parse_labels(labels, n) if len(labels) == len(entries) else (None, None)
-    except (PauliParseError, DimensionMismatchError):
-        x = None
-    if x is None:
-        for i, entry in enumerate(entries):
-            _check_entry(path, i, entry, n)
-    return Hamiltonian.from_columns(n, x, z, coeffs)
+    n, entries = _read(path, "terms")
+    x = z = None
+    if not any(map(_entry_fault, entries)):
+        try:
+            x, z = parse_labels([entry["pauli"] for entry in entries], n)
+        except (PauliParseError, DimensionMismatchError):
+            pass
+    for i, entry in enumerate(entries if x is None else ()):
+        fault = _entry_fault(entry)
+        if fault is None:
+            try:
+                width = parse_pauli(entry["pauli"]).n
+            except PauliParseError as exc:
+                fault = f".pauli: {exc}"
+            else:
+                fault = None if width == n else f".pauli has length {width}, expected n={n}"
+        if fault is not None:
+            raise SchemaError(f"{path}: terms[{i}]{fault}")
+    return Hamiltonian.from_columns(n, x, z, [float(entry["coeff"]) for entry in entries])
 
 
 def _terms_json(h: Hamiltonian) -> Iterator[str]:
@@ -153,6 +140,22 @@ def _terms_json(h: Hamiltonian) -> Iterator[str]:
     yield "\n  ]"
 
 
+def _json_document(doc: dict, streamed: Collection[str] = ()) -> Iterator[str]:
+    """Pieces of ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline, byte for byte.
+
+    The value of each key in ``streamed`` is already text, in pieces: the
+    list as json.dumps writes it one level down.
+    """
+    for i, key in enumerate(sorted(doc)):
+        yield ("," if i else "{") + f"\n  {json.dumps(key)}: "
+        if key in streamed:
+            yield from doc[key]
+        else:
+            # one level down: every line after the first moves in by two spaces
+            yield json.dumps(doc[key], indent=2, sort_keys=True).replace("\n", "\n  ")
+    yield "\n}\n"
+
+
 def hamiltonian_json(h: Hamiltonian, extra: dict | None = None) -> Iterator[str]:
     """Pieces of ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline, byte for byte.
 
@@ -160,15 +163,8 @@ def hamiltonian_json(h: Hamiltonian, extra: dict | None = None) -> Iterator[str]
     with ``extra``; the term list is written from the columns, TERM_CHUNK terms per piece.
     """
     extra = extra or {}
-    doc = {"n": h.n, "terms": None, **extra}
-    for i, key in enumerate(sorted(doc)):
-        yield ("," if i else "{") + f"\n  {json.dumps(key)}: "
-        if key == "terms" and "terms" not in extra:
-            yield from _terms_json(h)
-        else:
-            # one level down: every line after the first moves in by two spaces
-            yield json.dumps(doc[key], indent=2, sort_keys=True).replace("\n", "\n  ")
-    yield "\n}\n"
+    doc = {"n": h.n, "terms": _terms_json(h), **extra}
+    return _json_document(doc, () if "terms" in extra else ("terms",))
 
 
 def save_hamiltonian(h: Hamiltonian, path: "str | Path", *, extra: dict | None = None) -> None:
@@ -184,15 +180,7 @@ def load_state(path: "str | Path") -> StateVector:
         SchemaError: wrong amplitude count or shape, entries not finite as
             floats, or a norm farther than 1e-6 from 1.
     """
-    doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: top level must be a JSON object")
-    n = _require_int(doc, "n", path)
-    if n < 1:
-        raise SchemaError(f"{path}: field 'n' must be >= 1, got {n}")
-    raw = doc.get("amplitudes")
-    if not isinstance(raw, list):
-        raise SchemaError(f"{path}: field 'amplitudes' must be a list")
+    n, raw = _read(path, "amplitudes")
     # 2^n has n + 1 bits: other lengths are refused without forming 2^n
     if len(raw).bit_length() != n + 1 or len(raw) != 1 << n:
         expected = 1 << n if n < 64 else f"2^{n}"

@@ -7,6 +7,9 @@ i and at bit i of the basis index, so the kron product runs over the
 reversed label (most significant factor first).
 """
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,11 @@ import pauliham.paulis as paulis
 import pauliham.spectra as spectra
 from pauliham.paulis import Hamiltonian, PauliString, parse_pauli
 from pauliham.spectra import StateVector
+
+# Interpreters that tests start import the package from this checkout too,
+# as the in-process tests do through pytest's ``pythonpath`` setting.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 SITE_MATRICES = {
     "I": np.eye(2, dtype=complex),

@@ -1,12 +1,22 @@
 import json
 import math
+import os
+import signal
+import stat
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pauliham.cli as cli
+import pauliham.game as game
 import pauliham.serialize as serialize
 from pauliham.cli import EXIT_CONVERGENCE, main
+from pauliham.game import play_round, shot_rng
 from pauliham.paulis import (
     Hamiltonian,
     hadamard_power,
@@ -130,6 +140,11 @@ class TestStateFiles:
         path.write_text(json.dumps({"n": n, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}))
         with pytest.raises(SchemaError, match=rf"amplitudes has 2 entries, expected 2\^{n}"):
             load_state(path)
+
+
+INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+# h6 has coefficients of both signs; psi6 is a fixed random 6-qubit state.
+H6_GAME = ["game", "--ham", str(INPUTS / "h6.json"), "--state", str(INPUTS / "psi6.json")]
 
 
 def _write_ham(path, labels):
@@ -537,3 +552,114 @@ class TestStreamedOutput:
         whole = tmp_path / "whole.json"
         save_hamiltonian(h, whole)
         assert chunked.read_bytes() == whole.read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_game_formats_only_the_labels_its_shots_reach(self, tmp_path, monkeypatch, fmt):
+        # 40 shots on 2,000 terms: at most 40 labels are formatted
+        h, ham = random_local(8, 3, 2000, seed=2), tmp_path / "h.json"
+        save_hamiltonian(h, ham)
+        save_state(StateVector.normalized(8, np.ones(256)), tmp_path / "psi.json")
+        formatted = []
+
+        def counted(x, z, n):
+            formatted.append(len(x))
+            return serialize.format_labels(x, z, n)
+
+        monkeypatch.setattr(cli, "format_labels", counted)
+        argv = ["game", "--ham", str(ham), "--state", str(tmp_path / "psi.json")]
+        assert main(argv + ["--shots", "40", "--seed", "1", "--format", fmt]) == 0
+        assert h.num_terms > 1000 and 0 < sum(formatted) <= 40
+
+    def test_game_rows_replay_play_round(self, capsys):
+        # every CSV row and every JSON round is its shot's play_round
+        h, psi = load_hamiltonian(INPUTS / "h6.json"), load_state(INPUTS / "psi6.json")
+        want = [play_round(h, psi, shot_rng(13, i)) for i in range(300)]
+        assert {(r.coeff_sign, r.outcome) for r in want} == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
+        argv = H6_GAME + ["--shots", "300", "--seed", "13"]
+        assert main(argv + ["--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            f"{i},{r.sampled_term.label},{r.coeff_sign},{r.outcome},{int(r.accepted)}"
+            for i, r in enumerate(want)
+        ]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["rounds"] == [
+            {
+                "accepted": r.accepted,
+                "coeff_sign": r.coeff_sign,
+                "outcome": r.outcome,
+                "pauli": r.sampled_term.label,
+            }
+            for r in want
+        ]
+
+
+def _csv_game_process():
+    """``pauliham game`` writing a 10^6-shot CSV game into a pipe."""
+    argv = [sys.executable, "-m", "pauliham.cli", *H6_GAME]
+    argv += ["--shots", "1000000", "--seed", "1", "--format", "csv"]
+    return subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+class TestQuietExits:
+    def _assert_quiet(self, proc, code):
+        try:
+            _, err = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+        assert proc.returncode == code, err
+        assert b"Traceback" not in err and b"Exception ignored" not in err, err
+
+    def test_closed_pipe_exits_141(self):
+        proc = _csv_game_process()
+        assert proc.stdout.readline() == b"round,pauli,coeff_sign,outcome,accepted\n"
+        proc.stdout.readline()
+        proc.stdout.close()
+        self._assert_quiet(proc, 141)
+
+    def test_interrupt_exits_130(self):
+        # the game cannot finish before the signal: the full pipe blocks it
+        proc = _csv_game_process()
+        proc.stdout.readline()
+        proc.send_signal(signal.SIGINT)
+        self._assert_quiet(proc, 130)
+
+    @staticmethod
+    def _interrupt_second_chunk(monkeypatch):
+        """Make a CSV game raise KeyboardInterrupt on its second shot chunk,
+        drawn with three threads."""
+        monkeypatch.setattr(game, "SHOT_CHUNK", 1000)
+        monkeypatch.setattr(game, "_worker_count", lambda chunks: min(3, chunks))
+        real_rows = cli._csv_rows
+
+        def rows(start, texts):
+            if start:
+                raise KeyboardInterrupt
+            return real_rows(start, texts)
+
+        monkeypatch.setattr(cli, "_csv_rows", rows)
+        return H6_GAME + ["--shots", "10000", "--seed", "1", "--format", "csv", "--out"]
+
+    def test_interrupted_write_removes_its_file(self, tmp_path, monkeypatch):
+        argv = self._interrupt_second_chunk(monkeypatch)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):  # in-process, main raises it
+            main(argv + [str(tmp_path / "g.csv")])
+        assert list(tmp_path.iterdir()) == []
+        assert threading.active_count() == before
+
+    def test_interrupted_write_keeps_symlink_and_fifo(self, tmp_path, monkeypatch):
+        argv = self._interrupt_second_chunk(monkeypatch)
+        target, link, fifo = tmp_path / "target.csv", tmp_path / "link.csv", tmp_path / "fifo"
+        target.write_text("", encoding="utf-8")
+        link.symlink_to(target)
+        with pytest.raises(KeyboardInterrupt):
+            main(argv + [str(link)])
+        assert link.is_symlink() and target.is_file()
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so opening to write won't block
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                main(argv + [str(fifo)])
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)

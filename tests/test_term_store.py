@@ -237,6 +237,17 @@ class TestLabelColumns:
         with pytest.raises(ValueError, match=r"terms\[1\]\.pauli: illegal character 'Q'"):
             load_hamiltonian(path)
 
+    def test_load_names_type_fault_before_later_bad_label(self, tmp_path):
+        # a type fault in entry 1 is named before a bad label in entry 2
+        path = tmp_path / "h.json"
+        path.write_text(
+            '{"n": 2, "terms": [{"pauli": "XX", "coeff": 1}, {"pauli": "ZZ", "coeff": "bad"},'
+            ' {"pauli": "XQ", "coeff": 1}]}',
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError, match=r"terms\[1\]\.coeff must be a real number"):
+            load_hamiltonian(path)
+
     def test_load_large_n_short_labels(self, tmp_path):
         # refused from the label lengths, before anything of size n is built
         path = tmp_path / "h.json"
