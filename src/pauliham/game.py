@@ -21,6 +21,10 @@ consumer waits for the next chunk.  So a million-shot game needs a
 batch's arrays, not a million shots' worth, and its shots are the same
 however many threads drew them; ``simulate`` and both CLI game formats
 consume them.
+
+A ``GameRound`` stores its term, sign and outcome, and a ``GameTranscript``
+its counts; the round's verdict and the transcript's standard error are
+properties derived from those, so no stored copy can disagree with them.
 """
 
 from __future__ import annotations
@@ -57,18 +61,20 @@ _MAX_WORKERS = 4
 
 @dataclass(frozen=True)
 class GameRound:
-    """One sampled term, its coefficient sign, the outcome bit, and the verdict."""
+    """One sampled term, its coefficient sign and the outcome bit."""
 
     sampled_term: PauliString
     coeff_sign: int
     outcome: int
-    accepted: bool
 
     def __post_init__(self):
         if self.coeff_sign not in (-1, 1) or self.outcome not in (-1, 1):
             raise ValueError("coeff_sign and outcome must be +1 or -1")
-        if self.accepted != (self.outcome == self.coeff_sign):
-            raise ValueError("accepted flag inconsistent with outcome and sign")
+
+    @property
+    def accepted(self) -> bool:
+        """The verdict: the outcome bit equals the coefficient's sign."""
+        return self.outcome == self.coeff_sign
 
 
 @dataclass(frozen=True)
@@ -80,7 +86,6 @@ class GameTranscript:
 
     shots: int
     accept_frequency: float
-    std_error: float
     exact_probability: float
     seed: int
 
@@ -89,10 +94,12 @@ class GameTranscript:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
         if not 0.0 <= self.accept_frequency <= 1.0:
             raise ValueError(f"accept frequency {self.accept_frequency} outside [0, 1]")
+
+    @property
+    def std_error(self) -> float:
+        """Binomial standard error of the frequency, sqrt(f(1-f)/shots)."""
         f = self.accept_frequency
-        expected = math.sqrt(f * (1.0 - f) / self.shots)
-        if abs(self.std_error - expected) > 1e-12:
-            raise ValueError("std_error inconsistent with sqrt(f(1-f)/shots)")
+        return math.sqrt(f * (1.0 - f) / self.shots)
 
 
 def accept_prob_exact(h: Hamiltonian, psi: StateVector) -> float:
@@ -135,7 +142,7 @@ def play_round(h: Hamiltonian, psi: StateVector, rng: np.random.Generator) -> Ga
     term, sign = sample_term(h, rng)
     p_plus = 0.5 * (1.0 + pauli_expectation(term, psi))
     outcome = 1 if rng.random() < p_plus else -1
-    return GameRound(term, sign, outcome, outcome == sign)
+    return GameRound(term, sign, outcome)
 
 
 def shot_rng(seed: int, shot: int) -> np.random.Generator:
@@ -320,14 +327,7 @@ class _ShotDrawer:
 def _transcript(exact: float, chunks, shots: int, seed: int) -> GameTranscript:
     """The GameTranscript of ``shot_chunks``' exact probability and chunks."""
     accepted = sum(int(np.count_nonzero(verdicts)) for _, _, verdicts in chunks)
-    freq = accepted / shots
-    return GameTranscript(
-        shots=shots,
-        accept_frequency=freq,
-        std_error=math.sqrt(freq * (1.0 - freq) / shots),
-        exact_probability=exact,
-        seed=seed,
-    )
+    return GameTranscript(shots, accepted / shots, exact, seed)
 
 
 def simulate(h: Hamiltonian, psi: StateVector, shots: int, seed: int) -> GameTranscript:

@@ -46,8 +46,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-PAULI_CHARS = "IXYZ"
-
 # Coefficients with magnitude <= this are dropped from canonical term maps.
 DEFAULT_PRUNE_TOLERANCE = 1e-12
 
@@ -655,12 +653,12 @@ def linear_combine(coeff_pairs: Sequence[tuple[float, Hamiltonian]]) -> Hamilton
 def _operator_product(a, b, n: int):
     """Canonical columns of the product of two complex-weighted Pauli sums.
 
-    ``a`` and ``b`` are (x, z, Y counts, coefficients).  Pair (i, j) is
+    ``a`` and ``b`` are (x, z, coefficients).  Pair (i, j) is
     P_i Q_j = i^e R with the masks of R the XOR of the inputs and e the
     phase exponent of :func:`pauli_mul`, all pairs at once.
     """
-    ax, az, ay, ac = a
-    bx, bz, by, bc = b
+    ax, az, ac = a
+    bx, bz, bc = b
     count = len(ac) * len(bc)
     # Pairwise products bound the work done, so the cap applies pre-merge.
     if count > DEFAULT_TERM_CAP:
@@ -671,10 +669,10 @@ def _operator_product(a, b, n: int):
     x = (ax[:, None, :] ^ bx[None, :, :]).reshape(count, w)
     z = (az[:, None, :] ^ bz[None, :, :]).reshape(count, w)
     cross = np.bitwise_count(az[:, None, :] & bx[None, :, :]).sum(axis=-1, dtype=np.int64)
+    ay, by = _ycount(ax, az), _ycount(bx, bz)
     e = (ay[:, None] + by[None, :] + 2 * cross).reshape(count) - _ycount(x, z)
     coeffs = np.multiply.outer(ac, bc).reshape(count) * _PHASE_ARRAY[e & 3]
-    x, z, coeffs = _canonical(n, x, z, coeffs)
-    return x, z, _ycount(x, z), coeffs
+    return _canonical(n, x, z, coeffs)
 
 
 def _real_part(coeffs: np.ndarray) -> np.ndarray:
@@ -702,15 +700,15 @@ def apply_polynomial(h: Hamiltonian, poly: Sequence[float]) -> Hamiltonian:
     """
     if len(poly) == 0:
         raise ValueError("polynomial needs at least the constant coefficient")
-    base = (h.x, h.z, _ycount(h.x, h.z), h.coeffs.astype(complex))
+    base = (h.x, h.z, h.coeffs.astype(complex))
     zero = np.zeros((1, h.x.shape[1]), dtype=np.uint64)
-    power = (zero, zero, np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex))
+    power = (zero, zero, np.ones(1, dtype=complex))
     parts = []
     for j, cj in enumerate(poly):
         if j > 0:
             power = _operator_product(power, base, h.n)
         if cj != 0.0:
-            parts.append((power[0], power[1], cj * power[3]))
+            parts.append((power[0], power[1], cj * power[2]))
     if not parts:
         return Hamiltonian.from_columns(h.n, zero[:0], zero[:0], [])
     x, z, coeffs = _canonical(

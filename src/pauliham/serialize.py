@@ -10,8 +10,10 @@ keys (e.g. embedded run configs) are ignored.  State files:
 
     {"n": 1, "amplitudes": [[re, im], ...]}
 
-with exactly 2^n entries; a norm within 1e-6 of 1 is renormalized exactly,
-anything farther off is rejected.
+with exactly 2^n entries, written TERM_CHUNK pairs at a time; a norm
+within 1e-6 of 1 is renormalized exactly, anything farther off is
+rejected.  Both writers give the bytes of ``json.dumps(doc, indent=2,
+sort_keys=True)`` and a newline, through one document writer.
 """
 
 from __future__ import annotations
@@ -36,8 +38,12 @@ from .spectra import StateVector
 
 STATE_NORM_TOLERANCE = 1e-6
 
-# hamiltonian_json formats the term list this many terms at a time.
+# hamiltonian_json formats the term list, and save_state the amplitude
+# list, this many entries at a time.
 TERM_CHUNK = 1 << 14
+
+# The encoder json.dumps(value, indent=2, sort_keys=True) builds, built once.
+_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
 
 
 class SchemaError(ValueError):
@@ -152,7 +158,7 @@ def _json_document(doc: dict, streamed: Collection[str] = ()) -> Iterator[str]:
             yield from doc[key]
         else:
             # one level down: every line after the first moves in by two spaces
-            yield json.dumps(doc[key], indent=2, sort_keys=True).replace("\n", "\n  ")
+            yield _ENCODER.encode(doc[key]).replace("\n", "\n  ")
     yield "\n}\n"
 
 
@@ -205,8 +211,19 @@ def load_state(path: "str | Path") -> StateVector:
     return StateVector.normalized(n, amps)
 
 
+def _amplitudes_json(psi: StateVector) -> Iterator[str]:
+    """The "amplitudes" list as json.dumps(indent=2) writes it one level down, in pieces."""
+    pairs = psi.amplitudes.view(np.float64).reshape(-1, 2)
+    for start in range(0, len(pairs), TERM_CHUNK):
+        chunk = pairs[start : start + TERM_CHUNK]
+        # json writes a non-finite part as NaN or (-)Infinity, not as repr does
+        fmt = repr if np.isfinite(chunk).all() else _ENCODER.encode
+        items = ",\n".join(f"    [\n      {fmt(re)},\n      {fmt(im)}\n    ]" for re, im in chunk.tolist())
+        yield ("[\n" if start == 0 else ",\n") + items
+    yield "\n  ]"
+
+
 def save_state(psi: StateVector, path: "str | Path") -> None:
-    amplitudes = [[float(a.real), float(a.imag)] for a in psi.amplitudes]
+    """Write a state's amplitudes as [re, im] pairs, TERM_CHUNK pairs per piece."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"n": psi.n, "amplitudes": amplitudes}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.writelines(_json_document({"n": psi.n, "amplitudes": _amplitudes_json(psi)}, ("amplitudes",)))

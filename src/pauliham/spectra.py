@@ -127,17 +127,18 @@ class SpectralResult:
     ``iterations`` counts matvecs, across restarts.  ``residual`` is the
     Ritz residual of the worse of the two ends, and ``converged`` is
     ``residual <= tol``.  A non-converged run is returned rather than
-    raised, so callers always see the achieved residual.  ``method`` is
-    always "iterative"; it names the solver in the CLI's output.
+    raised, so callers always see the achieved residual.  ``method`` is a
+    class constant, not a field: it names the one solver in the CLI's output.
     """
+
+    method = "iterative"  # unannotated, so not a dataclass field
 
     lambda_max: float
     lambda_min: float
     eigvec_max: StateVector
-    method: str
     iterations: int
     residual: float
-    converged: bool = True
+    converged: bool
 
     def require_converged(self) -> "SpectralResult":
         """This result, for callers that must not use an unconverged one.
@@ -492,7 +493,6 @@ def extremal_eigs(
                         lambda_max=float(theta[-1]),
                         lambda_min=float(theta[0]),
                         eigvec_max=StateVector.normalized(h.n, basis.combine(s[:, -1])),
-                        method="iterative",
                         iterations=matvecs,
                         residual=float(residual),
                         converged=bool(residual <= tol),

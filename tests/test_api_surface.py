@@ -5,8 +5,10 @@ place (``paulis.DEFAULT_TERM_CAP``, ``spectra.DEFAULT_DENSE_LIMIT``,
 ``paulis.DEFAULT_PRUNE_TOLERANCE`` and ``paulis._IMAG_TOLERANCE``), not
 per call.  ``simulate`` keeps no per-round records: every shot comes from
 ``shot_chunks``, and the 10,000-round limit of the JSON game report is
-``cli.ROUND_RECORD_LIMIT``.  This sweep keeps a keyword or an instance
-field for them from coming back, and every exported name in README.md.
+``cli.ROUND_RECORD_LIMIT``.  A round's verdict, a transcript's standard
+error and a spectral result's solver name are derived, not stored.  This
+sweep keeps a keyword or an instance field for any of them from coming
+back, and every exported name in README.md.
 """
 
 import dataclasses
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import pauliham
 import pauliham.game
-from pauliham import GameTranscript, Hamiltonian
+from pauliham import GameRound, GameTranscript, Hamiltonian, SpectralResult
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -74,9 +76,20 @@ def test_hamiltonian_has_no_tolerance_field():
     assert "prune_tolerance" not in Hamiltonian.__slots__
 
 
+def _field_names(cls):
+    return {f.name for f in dataclasses.fields(cls)}
+
+
 def test_game_keeps_no_round_records():
-    assert "rounds" not in {f.name for f in dataclasses.fields(GameTranscript)}
+    assert "rounds" not in _field_names(GameTranscript)
     assert not hasattr(pauliham.game, "ROUND_RECORD_LIMIT")
+
+
+def test_derived_values_are_not_fields():
+    assert "accepted" not in _field_names(GameRound)
+    assert "std_error" not in _field_names(GameTranscript)
+    assert "method" not in _field_names(SpectralResult)
+    assert SpectralResult.method == "iterative"
 
 
 def test_every_exported_name_in_readme():

@@ -45,11 +45,21 @@ def _z() -> Hamiltonian:
 class TestGameRound:
     def test_consistency_enforced(self):
         p = parse_pauli("Z")
-        GameRound(p, 1, 1, True)
+        assert GameRound(p, 1, 1).accepted and GameRound(p, -1, -1).accepted
+        assert not GameRound(p, 1, -1).accepted and not GameRound(p, -1, 1).accepted
         with pytest.raises(ValueError):
-            GameRound(p, 1, -1, True)
+            GameRound(p, 0, 1)
         with pytest.raises(ValueError):
-            GameRound(p, 0, 1, False)
+            GameRound(p, 1, 0)
+        with pytest.raises(AttributeError):
+            GameRound(p, 1, 1).accepted = False
+
+    def test_verdict_is_outcome_equals_sign(self, rng):
+        h = random_hamiltonian(rng, 3, max_terms=8)
+        psi = random_state(rng, 3)
+        rounds = [play_round(h, psi, shot_rng(11, shot)) for shot in range(200)]
+        assert {r.accepted for r in rounds} == {True, False}
+        assert all(r.accepted == (r.outcome == r.coeff_sign) for r in rounds)
 
 
 class TestAcceptProbExact:
@@ -271,7 +281,18 @@ class TestSimulate:
 
     def test_transcript_invariants_validated(self):
         with pytest.raises(ValueError):
-            GameTranscript(10, 0.5, 0.9, 0.5, 0)  # std_error inconsistent
+            GameTranscript(0, 0.5, 0.5, 0)  # no shots
+        for freq in (-0.1, 1.1, math.nan):
+            with pytest.raises(ValueError):
+                GameTranscript(10, freq, 0.5, 0)
+
+    def test_std_error_is_derived(self, rng):
+        h = random_hamiltonian(rng, 3, max_terms=8)
+        psi = random_state(rng, 3)
+        for shots, seed in ((1, 0), (7, 1), (999, 2), (65_537, 3)):
+            t = simulate(h, psi, shots, seed)
+            f = t.accept_frequency
+            assert t.std_error == math.sqrt(f * (1 - f) / shots)
 
 
 def test_simulate_computes_each_expectation_once(monkeypatch, rng):

@@ -553,6 +553,39 @@ class TestStreamedOutput:
         save_hamiltonian(h, whole)
         assert chunked.read_bytes() == whole.read_bytes()
 
+    @pytest.mark.parametrize("term_chunk", [1, 5, None])
+    def test_save_state_matches_json_dumps(self, tmp_path, monkeypatch, rng, term_chunk):
+        if term_chunk is not None:
+            monkeypatch.setattr(serialize, "TERM_CHUNK", term_chunk)
+        path = tmp_path / "s.json"
+        for n in (1, 3, 6):
+            parts = rng.normal(size=(1 << n, 2))
+            parts[::-5] *= 1e-310
+            parts[::3, 1] = -0.0
+            parts[1::4, 0] = 0.0
+            parts /= np.linalg.norm(parts)
+            psi = StateVector(n, parts.view(complex).ravel())
+            amplitudes = [[float(a.real), float(a.imag)] for a in psi.amplitudes]
+            flat = [part for pair in amplitudes for part in pair]
+            assert {math.copysign(1.0, p) for p in flat if p == 0.0} == {-1.0, 1.0}
+            assert any(0.0 < abs(p) < sys.float_info.min for p in flat)  # subnormal
+            save_state(psi, path)
+            doc = {"n": n, "amplitudes": amplitudes}
+            assert path.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        # StateVector does not refuse NaN; json spells it NaN, not nan
+        psi = StateVector(1, [math.nan, 0.0])
+        save_state(psi, path)
+        doc = {"n": 1, "amplitudes": [[math.nan, 0.0], [0.0, 0.0]]}
+        assert path.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    def test_save_state_memory_independent_of_dimension(self, tmp_path, monkeypatch):
+        psi = StateVector.normalized(16, np.ones(1 << 16))  # 1 MiB of amplitudes
+        save_state(StateVector.basis(2, 0), tmp_path / "warm.json")
+        monkeypatch.setattr(serialize, "TERM_CHUNK", 1024)
+        _, peak = _traced_peak(save_state, psi, tmp_path / "s.json")
+        # 1024 pairs of text at a time; 2^16 [re, im] lists took 8 MiB
+        assert peak < 2 * 2**20
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_game_formats_only_the_labels_its_shots_reach(self, tmp_path, monkeypatch, fmt):
         # 40 shots on 2,000 terms: at most 40 labels are formatted

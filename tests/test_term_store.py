@@ -264,8 +264,8 @@ class TestHermiticity:
         real_product = paulis._operator_product
 
         def skewed(a, b, n):
-            x, z, y, c = real_product(a, b, n)
-            return x, z, y, c + 1e-3j
+            x, z, c = real_product(a, b, n)
+            return x, z, c + 1e-3j
 
         monkeypatch.setattr(paulis, "_operator_product", skewed)
         with pytest.raises(HermiticityError, match="imaginary residue"):
