@@ -6,10 +6,12 @@ config and inputs under the same BLAS thread count, since eigensolver
 results can differ in their last bits across thread counts); wall-clock
 timestamps go only to a ``<out>.log`` sidecar.
 Every JSON report embeds the full run configuration under the "config" key.
-Outputs are written piece by piece once every check has passed, and a
-write that fails or is interrupted removes its file (a regular file that
---out names itself), so a failing run leaves no output file.  ``game``
-writes both of its formats from one ``shot_chunks`` stream.
+Outputs are written piece by piece once every check has passed, through
+the one file writer ``serialize._write``: a write that fails or is
+interrupted removes its file (a regular file that --out or --eigvec-out
+names itself), and a spectrum report that fails removes the --eigvec-out
+file written before it, so a failing run leaves no output file.  ``game`` writes both of
+its formats from one ``shot_chunks`` stream.
 
 Exit codes: 0 ok, 1 usage, 2 input error, 3 capacity error, 4 verification
 failure (verify-lemma reporting all_bounds_hold = false), 5 convergence
@@ -32,10 +34,9 @@ import datetime
 import json
 import math
 import os
-import stat
 import sys
 from collections.abc import Iterable, Iterator
-from contextlib import closing, suppress
+from contextlib import closing
 
 import numpy as np
 
@@ -53,10 +54,11 @@ from .paulis import (
 from .serialize import (
     SchemaError,
     _json_document,
+    _state_json,
     _terms_json,
+    _write,
     load_hamiltonian,
     load_state,
-    save_state,
 )
 from .spectra import (
     DEFAULT_EIG_TOL,
@@ -105,26 +107,12 @@ def _config_of(args: argparse.Namespace) -> dict:
 
 
 def _emit(pieces: Iterable[str], out: "str | None", args: argparse.Namespace) -> None:
-    """Write the pieces to stdout, or to ``out`` and then its ``<out>.log`` sidecar.
-
-    A write to ``out`` that fails or is interrupted removes the file if ``out``
-    names a regular file itself: never a device, a FIFO, or a symlink or the
-    file it points to.
-    """
+    """Write the pieces to stdout, or to ``out`` (by ``serialize._write``) and then
+    its ``<out>.log`` sidecar."""
     if out is None:
         sys.stdout.writelines(pieces)
         return
-    regular = False
-    try:
-        with open(out, "w", encoding="utf-8") as fh:
-            st = os.fstat(fh.fileno())
-            regular = stat.S_ISREG(st.st_mode) and os.path.samestat(st, os.lstat(out))
-            fh.writelines(pieces)
-    except BaseException:
-        if regular:
-            with suppress(OSError):  # the first error is the one to report
-                os.remove(out)
-        raise
+    _write(out, pieces)
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
     with open(f"{out}.log", "a", encoding="utf-8") as fh:
         fh.write(f"{stamp} {args.subcommand} {json.dumps(_config_of(args), sort_keys=True)}\n")
@@ -210,20 +198,20 @@ def _cmd_norms(args) -> int:
 def _cmd_spectrum(args) -> int:
     ham = load_hamiltonian(args.ham)
     result = extremal_eigs(ham, tol=args.tol, max_iters=args.max_iters)
+    report = {
+        "lambda_max": result.lambda_max,
+        "lambda_min": result.lambda_min,
+        "method": result.method,
+        "iterations": result.iterations,
+        "residual": result.residual,
+        "converged": result.converged,
+    }
     if args.eigvec_out:
-        save_state(result.require_converged().eigvec_max, args.eigvec_out)
-    _emit_json(
-        {
-            "lambda_max": result.lambda_max,
-            "lambda_min": result.lambda_min,
-            "method": result.method,
-            "iterations": result.iterations,
-            "residual": result.residual,
-            "converged": result.converged,
-        },
-        args.out,
-        args,
-    )
+        # a report that fails or is interrupted takes the eigvec file with it
+        psi = result.require_converged().eigvec_max
+        _write(args.eigvec_out, _state_json(psi), then=lambda: _emit_json(report, args.out, args))
+    else:
+        _emit_json(report, args.out, args)
     return EXIT_OK
 
 

@@ -39,6 +39,7 @@ from queue import Empty, SimpleQueue
 import numpy as np
 
 from .paulis import (
+    DimensionMismatchError,
     Hamiltonian,
     PauliString,
     _TermDraw,
@@ -110,7 +111,7 @@ def accept_prob_exact(h: Hamiltonian, psi: StateVector) -> float:
     disagreement signals an internal bug.
     """
     if h.n != psi.n:
-        raise ValueError(f"qubit counts differ: {h.n} vs {psi.n}")
+        raise DimensionMismatchError(f"qubit counts differ: {h.n} vs {psi.n}")
     signs, probs = term_distribution(h)  # raises on the zero Hamiltonian
     return _accept_prob(h, signs, probs, _term_expectations(h, psi))
 

@@ -14,13 +14,19 @@ with exactly 2^n entries, written TERM_CHUNK pairs at a time; a norm
 within 1e-6 of 1 is renormalized exactly, anything farther off is
 rejected.  Both writers give the bytes of ``json.dumps(doc, indent=2,
 sort_keys=True)`` and a newline, through one document writer.
+Every file pauliham writes, CLI reports included, goes through one file
+writer, ``_write``: a write that fails or is interrupted removes the
+regular file it was writing.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Collection, Iterator
+import os
+import stat
+from collections.abc import Callable, Collection, Iterable, Iterator
+from contextlib import suppress
 from pathlib import Path
 from typing import Any
 
@@ -38,8 +44,8 @@ from .spectra import StateVector
 
 STATE_NORM_TOLERANCE = 1e-6
 
-# hamiltonian_json formats the term list, and save_state the amplitude
-# list, this many entries at a time.
+# The writers format the term list and the amplitude list this many
+# entries at a time.
 TERM_CHUNK = 1 << 14
 
 # The encoder json.dumps(value, indent=2, sort_keys=True) builds, built once.
@@ -48,6 +54,28 @@ _ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
 
 class SchemaError(ValueError):
     """A file does not match its JSON schema; the message names the field."""
+
+
+def _write(path: "str | Path", pieces: Iterable[str], then: "Callable[[], object] | None" = None) -> None:
+    """Write the pieces to ``path``, then call ``then`` if given.
+
+    If either fails or is interrupted, the file is removed when ``path``
+    names a regular file itself: never a device, a FIFO, or a symlink or the
+    file it points to.
+    """
+    regular = False
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            st = os.fstat(fh.fileno())
+            regular = stat.S_ISREG(st.st_mode) and os.path.samestat(st, os.lstat(path))
+            fh.writelines(pieces)
+        if then is not None:
+            then()
+    except BaseException:
+        if regular:
+            with suppress(OSError):  # the first error is the one to report
+                os.remove(path)
+        raise
 
 
 def _read(path: "str | Path", field: str) -> tuple[int, list]:
@@ -162,21 +190,9 @@ def _json_document(doc: dict, streamed: Collection[str] = ()) -> Iterator[str]:
     yield "\n}\n"
 
 
-def hamiltonian_json(h: Hamiltonian, extra: dict | None = None) -> Iterator[str]:
-    """Pieces of ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline, byte for byte.
-
-    ``doc`` is ``{"n": h.n, "terms": [{"pauli": label, "coeff": c}, ...]}`` updated
-    with ``extra``; the term list is written from the columns, TERM_CHUNK terms per piece.
-    """
-    extra = extra or {}
-    doc = {"n": h.n, "terms": _terms_json(h), **extra}
-    return _json_document(doc, () if "terms" in extra else ("terms",))
-
-
-def save_hamiltonian(h: Hamiltonian, path: "str | Path", *, extra: dict | None = None) -> None:
+def save_hamiltonian(h: Hamiltonian, path: "str | Path") -> None:
     """Write a Hamiltonian in canonical term order; deterministic bytes."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(hamiltonian_json(h, extra))
+    _write(path, _json_document({"n": h.n, "terms": _terms_json(h)}, ("terms",)))
 
 
 def load_state(path: "str | Path") -> StateVector:
@@ -215,15 +231,18 @@ def _amplitudes_json(psi: StateVector) -> Iterator[str]:
     """The "amplitudes" list as json.dumps(indent=2) writes it one level down, in pieces."""
     pairs = psi.amplitudes.view(np.float64).reshape(-1, 2)
     for start in range(0, len(pairs), TERM_CHUNK):
-        chunk = pairs[start : start + TERM_CHUNK]
-        # json writes a non-finite part as NaN or (-)Infinity, not as repr does
-        fmt = repr if np.isfinite(chunk).all() else _ENCODER.encode
-        items = ",\n".join(f"    [\n      {fmt(re)},\n      {fmt(im)}\n    ]" for re, im in chunk.tolist())
+        chunk = pairs[start : start + TERM_CHUNK].tolist()
+        # a state is finite, and json writes a finite float as repr does
+        items = ",\n".join(f"    [\n      {re!r},\n      {im!r}\n    ]" for re, im in chunk)
         yield ("[\n" if start == 0 else ",\n") + items
     yield "\n  ]"
 
 
+def _state_json(psi: StateVector) -> Iterator[str]:
+    """Pieces of a state file: the amplitudes as [re, im] pairs, TERM_CHUNK pairs per piece."""
+    return _json_document({"n": psi.n, "amplitudes": _amplitudes_json(psi)}, ("amplitudes",))
+
+
 def save_state(psi: StateVector, path: "str | Path") -> None:
     """Write a state's amplitudes as [re, im] pairs, TERM_CHUNK pairs per piece."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_json_document({"n": psi.n, "amplitudes": _amplitudes_json(psi)}, ("amplitudes",)))
+    _write(path, _state_json(psi))

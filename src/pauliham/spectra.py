@@ -43,6 +43,7 @@ and the sparsification experiment's exact deviation.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -83,7 +84,7 @@ class StateVector:
     """Normalized complex amplitude vector over the 2^n basis states.
 
     The amplitude array is copied and marked read-only on construction;
-    the Euclidean norm must be 1 within 1e-9.
+    the Euclidean norm must be 1 within 1e-9, so every amplitude is finite.
     """
 
     n: int
@@ -96,7 +97,7 @@ class StateVector:
                 f"state on {self.n} qubits needs {1 << self.n} amplitudes, got {amps.shape}"
             )
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:  # also refuses a NaN norm
             raise ValueError(f"state vector norm {norm!r} is not 1 within 1e-9")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
@@ -111,8 +112,8 @@ class StateVector:
     def normalized(cls, n: int, amplitudes) -> "StateVector":
         amps = np.asarray(amplitudes, dtype=np.complex128)
         norm = float(np.linalg.norm(amps))
-        if norm == 0.0:
-            raise ValueError("cannot normalize the zero vector")
+        if not 0.0 < norm < np.inf:  # zero, infinite or NaN
+            raise ValueError(f"cannot normalize a vector of norm {norm!r}")
         return cls(n, amps / norm)
 
     @property
@@ -440,7 +441,9 @@ def extremal_eigs(
     normalised sum of the two extremal Ritz vectors.
 
     Raises:
-        ValueError: ``tol`` is NaN or negative, or ``max_iters`` < 1.
+        ValueError: ``tol`` is NaN or negative, ``max_iters`` < 1, or the
+            iteration overflows float64 (it can once the Pauli 1-norm passes
+            about 1e154); the message names the Pauli 1-norm.
         CapacityError: n > 2 * DEFAULT_DENSE_LIMIT, where one vector alone
             exceeds the budget.
     """
@@ -459,51 +462,60 @@ def extremal_eigs(
     dim = 1 << h.n
     kernel = _GroupedKernel(h, keep_bytes=budget)
     capacity = min(dim, max(_MIN_BASIS, budget // (16 * dim)))
-    breakdown = _BREAKDOWN * pauli_1_norm(h)
+    lam = pauli_1_norm(h)
+    breakdown = _BREAKDOWN * lam
 
     rng = np.random.default_rng(7)  # fixed start for a deterministic contract
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     v /= np.linalg.norm(v)
     matvecs = 0
-    while True:  # one pass per restart
-        basis = _KrylovBasis(dim, capacity, v)
-        alphas: list[float] = []
-        betas: list[float] = []
-        while True:
-            q = basis.row(-1)
-            w = kernel.apply(q)
-            matvecs += 1
-            alphas.append(float(np.vdot(q, w).real))
-            # The three-term recurrence, then one full Gram-Schmidt pass: the
-            # pass alone, on w = H q, loses orthogonality when w lies mostly
-            # in the basis; after the recurrence one pass keeps it near 1e-15.
-            w -= alphas[-1] * q
-            if betas:
-                w -= betas[-1] * basis.row(-2)
-            basis.orthogonalize(w)
-            beta = float(np.linalg.norm(w))
-            j = len(alphas)
-            # an invariant Krylov space (exact breakdown) has exact Ritz values
-            stop = beta <= breakdown or j == dim or matvecs >= max_iters
-            if stop or j == capacity or j % max(4, j // 16) == 0:
-                theta, s = _ritz(alphas, betas)
-                residual = beta * max(abs(s[-1, 0]), abs(s[-1, -1]))
-                if stop or residual <= tol:
-                    return SpectralResult(
-                        lambda_max=float(theta[-1]),
-                        lambda_min=float(theta[0]),
-                        eigvec_max=StateVector.normalized(h.n, basis.combine(s[:, -1])),
-                        iterations=matvecs,
-                        residual=float(residual),
-                        converged=bool(residual <= tol),
+    # Overflow turns up as a non-finite beta, refused by name below, not as
+    # numpy warnings along the way.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:  # one pass per restart
+            basis = _KrylovBasis(dim, capacity, v)
+            alphas: list[float] = []
+            betas: list[float] = []
+            while True:
+                q = basis.row(-1)
+                w = kernel.apply(q)
+                matvecs += 1
+                alphas.append(float(np.vdot(q, w).real))
+                # The three-term recurrence, then one full Gram-Schmidt pass: the
+                # pass alone, on w = H q, loses orthogonality when w lies mostly
+                # in the basis; after the recurrence one pass keeps it near 1e-15.
+                w -= alphas[-1] * q
+                if betas:
+                    w -= betas[-1] * basis.row(-2)
+                basis.orthogonalize(w)
+                beta = float(np.linalg.norm(w))
+                if not math.isfinite(beta):
+                    raise ValueError(
+                        f"eigensolve overflowed float64 (Lanczos vector norm {beta}): "
+                        f"the Pauli 1-norm {lam!r} is too large; scale the coefficients down"
                     )
-                if j == capacity:
-                    v = basis.combine(s[:, 0] + s[:, -1])
-                    v /= np.linalg.norm(v)
-                    break
-            betas.append(beta)
-            w /= beta
-            basis.append(w)
+                j = len(alphas)
+                # an invariant Krylov space (exact breakdown) has exact Ritz values
+                stop = beta <= breakdown or j == dim or matvecs >= max_iters
+                if stop or j == capacity or j % max(4, j // 16) == 0:
+                    theta, s = _ritz(alphas, betas)
+                    residual = beta * max(abs(s[-1, 0]), abs(s[-1, -1]))
+                    if stop or residual <= tol:
+                        return SpectralResult(
+                            lambda_max=float(theta[-1]),
+                            lambda_min=float(theta[0]),
+                            eigvec_max=StateVector.normalized(h.n, basis.combine(s[:, -1])),
+                            iterations=matvecs,
+                            residual=float(residual),
+                            converged=bool(residual <= tol),
+                        )
+                    if j == capacity:
+                        v = basis.combine(s[:, 0] + s[:, -1])
+                        v /= np.linalg.norm(v)
+                        break
+                betas.append(beta)
+                w /= beta
+                basis.append(w)
 
 
 def operator_norm(h: Hamiltonian, **kwargs) -> float:

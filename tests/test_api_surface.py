@@ -8,9 +8,14 @@ per call.  ``simulate`` keeps no per-round records: every shot comes from
 ``cli.ROUND_RECORD_LIMIT``.  A round's verdict, a transcript's standard
 error and a spectral result's solver name are derived, not stored.  This
 sweep keeps a keyword or an instance field for any of them from coming
-back, and every exported name in README.md.
+back, and every exported name in README.md.  Every file the package
+writes goes through one writer, ``serialize._write``, which removes a
+half-written file; a scan of its source keeps a second write path (an
+``open`` that writes or appends anywhere else, bar the CLI's ``<out>.log``
+sidecar append) from coming back.
 """
 
+import ast
 import dataclasses
 import inspect
 import re
@@ -18,6 +23,7 @@ from pathlib import Path
 
 import pauliham
 import pauliham.game
+import pauliham.serialize
 from pauliham import GameRound, GameTranscript, Hamiltonian, SpectralResult
 
 README = Path(__file__).parent.parent / "README.md"
@@ -101,3 +107,42 @@ def test_every_exported_name_in_readme():
     ]
     missing = [name for name in sorted(exported) if not re.search(rf"\b{name}\b", text)]
     assert missing == []
+
+
+class _FileWrites(ast.NodeVisitor):
+    """Each call of built-in ``open`` in a mode that writes, or of a
+    ``write_text``/``write_bytes`` method, as (module.function, mode)."""
+
+    def __init__(self, module: str):
+        self.module, self.scopes, self.found = module, ["<module>"], []
+
+    def visit_FunctionDef(self, node):
+        self.scopes.append(node.name)
+        self.generic_visit(node)
+        self.scopes.pop()
+
+    def visit_Call(self, node):
+        func, mode = node.func, None
+        if isinstance(func, ast.Name) and func.id == "open":
+            modes = [k.value for k in node.keywords if k.arg == "mode"]
+            arg = node.args[1] if len(node.args) > 1 else next(iter(modes), None)
+            literal = isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+            if arg is not None and not (literal and set(arg.value).isdisjoint("wax+")):
+                mode = arg.value if literal else "?"
+        elif isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
+            mode = func.attr
+        if mode is not None:
+            self.found.append((f"{self.module}.{self.scopes[-1]}", mode))
+        self.generic_visit(node)
+
+
+def test_one_file_writer():
+    found = []
+    for path in sorted(Path(pauliham.__file__).parent.glob("*.py")):
+        visitor = _FileWrites(path.stem)
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found += visitor.found
+    # the one writer, and the CLI's sidecar, which only appends
+    assert found == [("cli._emit", "a"), ("serialize._write", "w")]
+    assert not hasattr(pauliham.serialize, "hamiltonian_json")
+    assert list(inspect.signature(pauliham.save_hamiltonian).parameters) == ["h", "path"]

@@ -1,4 +1,4 @@
-"""Byte-for-byte output of the subcommands and of ``save_hamiltonian``.
+"""Byte-for-byte output of the subcommands and of the file writer, ``serialize._write``.
 
 The files under ``tests/golden/`` pin exact bytes: key order, float
 formatting, term order and the embedded config.  Paths are relative to
@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from pauliham.cli import main
-from pauliham.serialize import load_hamiltonian, save_hamiltonian
+from pauliham.serialize import _json_document, _terms_json, _write, load_hamiltonian
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -124,5 +124,6 @@ EXTRA = {
 def test_save_hamiltonian_bytes_unchanged(tmp_path):
     write_inputs(tmp_path)
     out = tmp_path / "saved.json"
-    save_hamiltonian(load_hamiltonian(tmp_path / "h6.json"), out, extra=EXTRA)
+    h = load_hamiltonian(tmp_path / "h6.json")
+    _write(out, _json_document({"n": h.n, "terms": _terms_json(h), **EXTRA}, ("terms",)))
     assert out.read_bytes() == (GOLDEN / "save_extra_h6.json").read_bytes()

@@ -25,6 +25,7 @@ from pauliham.game import (
     simulate,
 )
 from pauliham.paulis import (
+    DimensionMismatchError,
     Hamiltonian,
     PauliString,
     hadamard_power,
@@ -88,7 +89,8 @@ class TestAcceptProbExact:
             accept_prob_exact(zero, StateVector.basis(1, 0))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
+        # a ValueError too, so the CLI's exit code stays 2
+        with pytest.raises(DimensionMismatchError, match="qubit counts differ: 1 vs 2"):
             accept_prob_exact(_z(), StateVector.basis(2, 0))
 
     def test_closed_equals_termwise(self, rng):

@@ -390,6 +390,14 @@ class TestCli:
         assert main(["norms", "--ham", str(h)]) == 2
         assert "terms[1].coeff is non-finite as a float" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_eigensolve_exits_2(self, tmp_path, capsys):
+        h = tmp_path / "h.json"
+        _write_ham(h, {"XI": 1e160, "ZI": 1e160})
+        assert main(["spectrum", "--ham", str(h)]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and "Pauli 1-norm 2e+160 is too large" in err
+
     def test_amplitude_too_large_for_float_exits_2(self, tmp_path, capsys):
         h = tmp_path / "z.json"
         _write_ham(h, {"Z": 1.0})
@@ -468,6 +476,14 @@ class TestCli:
         assert "capacity error" in proc.stderr
         assert "cap is 26" in proc.stderr
         assert proc.stdout == ""
+
+    def test_failed_report_removes_eigvec_file(self, tmp_path, capsys):
+        ham, vec = tmp_path / "had.json", tmp_path / "top.json"
+        save_hamiltonian(hadamard_power(1), ham)
+        argv = ["spectrum", "--ham", str(ham), "--eigvec-out", str(vec)]
+        assert main(argv + ["--out", str(tmp_path / "missing" / "r.json")]) == 2
+        assert "input error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [ham]
 
     def test_spectrum_eigvec_out_feeds_game(self, tmp_path, capsys):
         ham = tmp_path / "had.json"
@@ -572,11 +588,6 @@ class TestStreamedOutput:
             save_state(psi, path)
             doc = {"n": n, "amplitudes": amplitudes}
             assert path.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        # StateVector does not refuse NaN; json spells it NaN, not nan
-        psi = StateVector(1, [math.nan, 0.0])
-        save_state(psi, path)
-        doc = {"n": 1, "amplitudes": [[math.nan, 0.0], [0.0, 0.0]]}
-        assert path.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def test_save_state_memory_independent_of_dimension(self, tmp_path, monkeypatch):
         psi = StateVector.normalized(16, np.ones(1 << 16))  # 1 MiB of amplitudes
@@ -633,6 +644,25 @@ def _csv_game_process():
     return subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
 
 
+def _assert_interrupted_write_keeps_symlink_and_fifo(tmp_path, write):
+    """An interrupted ``write(path)`` removes neither a symlink, nor the file
+    it points to, nor a FIFO."""
+    target, link, fifo = tmp_path / "target", tmp_path / "link", tmp_path / "fifo"
+    target.write_text("", encoding="utf-8")
+    link.symlink_to(target)
+    with pytest.raises(KeyboardInterrupt):
+        write(link)
+    assert link.is_symlink() and target.is_file()
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so opening to write won't block
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            write(fifo)
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+
 class TestQuietExits:
     def _assert_quiet(self, proc, code):
         try:
@@ -682,17 +712,60 @@ class TestQuietExits:
 
     def test_interrupted_write_keeps_symlink_and_fifo(self, tmp_path, monkeypatch):
         argv = self._interrupt_second_chunk(monkeypatch)
-        target, link, fifo = tmp_path / "target.csv", tmp_path / "link.csv", tmp_path / "fifo"
-        target.write_text("", encoding="utf-8")
-        link.symlink_to(target)
+        _assert_interrupted_write_keeps_symlink_and_fifo(tmp_path, lambda path: main(argv + [str(path)]))
+
+
+def _interrupt_second_piece(monkeypatch, module, name):
+    """Make the piece writer ``module.name`` raise KeyboardInterrupt after its first piece."""
+    real = getattr(module, name)
+
+    def pieces(*args):
+        yield next(iter(real(*args)))
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(module, name, pieces)
+
+
+# Each library saver, on a list of 16 entries (4 pieces), and the list writer it streams.
+SAVERS = {
+    "save_hamiltonian": (lambda path: save_hamiltonian(hadamard_power(4), path), "_terms_json"),
+    "save_state": (lambda path: save_state(StateVector.normalized(4, np.ones(16)), path), "_amplitudes_json"),
+}
+
+
+class TestOneWriter:
+    """Every file goes through ``serialize._write``: an interrupted write leaves no file."""
+
+    @pytest.fixture(params=sorted(SAVERS))
+    def saver(self, request, monkeypatch):
+        save, writer = SAVERS[request.param]
+        monkeypatch.setattr(serialize, "TERM_CHUNK", 4)
+        _interrupt_second_piece(monkeypatch, serialize, writer)
+        return save
+
+    def test_interrupted_saver_leaves_no_file(self, tmp_path, saver):
         with pytest.raises(KeyboardInterrupt):
-            main(argv + [str(link)])
-        assert link.is_symlink() and target.is_file()
-        os.mkfifo(fifo)
-        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so opening to write won't block
-        try:
-            with pytest.raises(KeyboardInterrupt):
-                main(argv + [str(fifo)])
-        finally:
-            os.close(reader)
-        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+            saver(tmp_path / "out.json")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_interrupted_saver_keeps_symlink_and_fifo(self, tmp_path, saver):
+        _assert_interrupted_write_keeps_symlink_and_fifo(tmp_path, saver)
+
+    @pytest.fixture
+    def spectrum_argv(self, tmp_path):
+        ham = tmp_path / "h.json"
+        save_hamiltonian(random_local(4, 2, 6, seed=1), ham)
+        return ["spectrum", "--ham", str(ham), "--eigvec-out", str(tmp_path / "top.json")]
+
+    def test_interrupted_eigvec_out_leaves_no_file(self, tmp_path, monkeypatch, spectrum_argv):
+        monkeypatch.setattr(serialize, "TERM_CHUNK", 4)
+        _interrupt_second_piece(monkeypatch, serialize, "_amplitudes_json")
+        with pytest.raises(KeyboardInterrupt):
+            main(spectrum_argv)
+        assert list(tmp_path.iterdir()) == [tmp_path / "h.json"]
+
+    def test_interrupted_report_removes_eigvec_file(self, tmp_path, monkeypatch, spectrum_argv):
+        _interrupt_second_piece(monkeypatch, cli, "_json_document")  # the report's writer
+        with pytest.raises(KeyboardInterrupt):
+            main(spectrum_argv + ["--out", str(tmp_path / "r.json")])
+        assert list(tmp_path.iterdir()) == [tmp_path / "h.json"]

@@ -49,6 +49,14 @@ class TestStateVector:
         with pytest.raises(ValueError):
             StateVector.normalized(1, [0.0, 0.0])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("part", [math.nan, math.inf])
+    def test_non_finite_rejected(self, part):
+        with pytest.raises(ValueError, match="state vector norm"):
+            StateVector(1, [part, 0.0])
+        with pytest.raises(ValueError, match="cannot normalize a vector of norm"):
+            StateVector.normalized(1, [part, 0.0])
+
     def test_wrong_length(self):
         with pytest.raises(DimensionMismatchError):
             StateVector(2, np.array([1.0, 0.0]))
@@ -255,6 +263,14 @@ class TestExtremalEigs:
         # the whole Krylov space and then report itself unconverged
         with pytest.raises(ValueError, match="tol must be >= 0"):
             extremal_eigs(random_local(9, 3, 30, seed=1), tol=tol)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_names_the_pauli_1_norm(self):
+        # ||w||^2 overflows once entries pass about 1e154: a named error, no
+        # numpy warning and no "Eigenvalues did not converge"
+        h = Hamiltonian.from_labels({"XI": 1e160, "ZI": 1e160})
+        with pytest.raises(ValueError, match=r"Pauli 1-norm 2e\+160 is too large"):
+            extremal_eigs(h)
 
 
 class TestLanczosOracle:
